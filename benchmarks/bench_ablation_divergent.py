@@ -14,8 +14,6 @@ favoured-template speedup) and reports the worst normalized latency.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.core.divergent import DivergentDesigner, template_serial_fraction
 from repro.errors import ConfigurationError
@@ -49,7 +47,7 @@ def _worst_concurrent_normalized(template, tuning_nodes, speedup):
     return max(e.latency_s for e in executions) / target
 
 
-def test_ablation_divergent_design(benchmark):
+def test_ablation_divergent_design():
     designer = DivergentDesigner(divergence_speedup=1.5)
 
     def experiment():
@@ -74,7 +72,7 @@ def test_ablation_divergent_design(benchmark):
                          round(diverged, 2), plain_u if plain_u is not None else "impossible"])
         return divergent, rows
 
-    divergent, rows = run_once(benchmark, experiment)
+    divergent, rows = experiment()
     print()
     print(
         format_table(

@@ -13,8 +13,6 @@ Four variants on the same instance:
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
 from repro.packing.ffd import ffd_grouping
@@ -31,7 +29,7 @@ def _one_step_grouping(problem):
     return GroupingSolution(problem, groups, solver="1-step-mixed")
 
 
-def test_ablation_grouping_design(benchmark, scale):
+def test_ablation_grouping_design(scale):
     config = scale.config()
     workload = build_workload(config, scale.sessions_per_size)
     matrix = ActivityMatrix.from_workload(workload, config.epoch_size_s)
@@ -48,7 +46,7 @@ def test_ablation_grouping_design(benchmark, scale):
             ffd_grouping(problem, sort_key="activity", fuzzy=False),
         ]
 
-    solutions = run_once(benchmark, experiment)
+    solutions = experiment()
     for solution in solutions:
         solution.validate()
     print()

@@ -14,8 +14,6 @@ collapses every concurrency onto one instance and is the clear loser.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
 from repro.core.advisor import DeploymentAdvisor
@@ -44,7 +42,7 @@ def _replay_with_policy(workload, group, policy_name):
     return runtime.run(until=2 * DAY)
 
 
-def test_ablation_routing_policy(benchmark, scale):
+def test_ablation_routing_policy(scale):
     config = scale.config()
     workload = build_workload(config, scale.sessions_per_size)
     advice = DeploymentAdvisor(config).plan_from_workload(workload)
@@ -56,7 +54,7 @@ def test_ablation_routing_policy(benchmark, scale):
             for name in ("tdd", "random-free", "round-robin", "always-tuning")
         }
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
     print()
     print(
         format_table(

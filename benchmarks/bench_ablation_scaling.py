@@ -18,8 +18,6 @@ ready.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
 from repro.core.advisor import DeploymentAdvisor
@@ -96,7 +94,7 @@ def _replay(workload, group, policy_name):
     return runtime.run(until=_HORIZON)
 
 
-def test_ablation_scaling_policy(benchmark, scale):
+def test_ablation_scaling_policy(scale):
     config = scale.config()
     workload = build_workload(config, scale.sessions_per_size)
     advice = DeploymentAdvisor(config).plan_from_workload(workload)
@@ -110,7 +108,7 @@ def test_ablation_scaling_policy(benchmark, scale):
             for name in ("lightweight", "proactive", "whole-group", "disabled")
         }
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
     rows = []
     for name, report in reports.items():
         action = report.scaling_actions[0] if report.scaling_actions else None

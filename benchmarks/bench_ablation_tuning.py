@@ -10,8 +10,6 @@ absorbs the overflow — point C of Figure 1.1b.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.core.deployment import GroupDeployment
 from repro.core.master import DeployedGroup
@@ -68,13 +66,13 @@ def _replay_with_u(tuning_parallelism: int):
     return runtime.run(until=100_000.0)
 
 
-def test_ablation_tuning_u(benchmark):
+def test_ablation_tuning_u():
     u_values = (2, 3, 4, 6)
 
     def experiment():
         return {u: _replay_with_u(u) for u in u_values}
 
-    reports = run_once(benchmark, experiment)
+    reports = experiment()
     print()
     print(
         format_table(

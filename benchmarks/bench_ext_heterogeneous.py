@@ -12,8 +12,6 @@ same effect as Chapter 6's manual U tuning.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
 from repro.cluster.node import NodeSpec
@@ -55,7 +53,7 @@ def _overflow_replay(group, node_class):
     return runtime.run(until=100_000.0)
 
 
-def test_ext_heterogeneous_cluster(benchmark, scale):
+def test_ext_heterogeneous_cluster(scale):
     config = scale.config()
     workload = build_workload(config, scale.sessions_per_size)
     advice = DeploymentAdvisor(config).plan_from_workload(workload)
@@ -77,7 +75,7 @@ def test_ext_heterogeneous_cluster(benchmark, scale):
         }
         return assignment, summary, group, reports
 
-    assignment, summary, group, reports = run_once(benchmark, experiment)
+    assignment, summary, group, reports = experiment()
     upgraded = [name for name, cls in assignment.items() if cls == "fast"]
     print()
     print(

@@ -13,8 +13,6 @@ Panel (c): TPC-H Q19's non-linear scale-out.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.mppdb.execution import ExecutionEngine
 from repro.simulation.engine import Simulator
@@ -64,13 +62,13 @@ def _speedup_rows(template):
     return rows
 
 
-def test_fig1_1a_q1_speedup(benchmark):
+def test_fig1_1a_q1_speedup():
     q1 = tpch_template(1)
 
     def experiment():
         return _speedup_rows(q1)
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(
@@ -87,7 +85,7 @@ def test_fig1_1a_q1_speedup(benchmark):
         assert abs(con4 - one_t / 4) < 0.05 * one_t
 
 
-def test_fig1_1b_q1_latency_points(benchmark):
+def test_fig1_1b_q1_latency_points():
     q1 = tpch_template(1)
 
     def experiment():
@@ -96,7 +94,7 @@ def test_fig1_1b_q1_latency_points(benchmark):
         point_c = _concurrent_latency(q1, 6, 2)  # 2 active on shared 6-node
         return point_a, point_b, point_c
 
-    point_a, point_b, point_c = run_once(benchmark, experiment)
+    point_a, point_b, point_c = experiment()
     print()
     print(
         format_table(
@@ -112,7 +110,7 @@ def test_fig1_1b_q1_latency_points(benchmark):
     assert point_b < point_c <= point_a + 1e-9
 
 
-def test_fig1_1c_q19_nonlinear(benchmark):
+def test_fig1_1c_q19_nonlinear():
     q19 = tpch_template(19)
 
     def experiment():
@@ -122,7 +120,7 @@ def test_fig1_1c_q19_nonlinear(benchmark):
             for nodes in _NODES
         ]
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

@@ -12,7 +12,7 @@ saves more nodes than FFD away from the plateau; FFD is faster to run.
 
 from __future__ import annotations
 
-from conftest import bench_profile, run_once
+from conftest import bench_profile
 
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
@@ -20,11 +20,11 @@ from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
 _EPOCH_SIZES = (0.5, 1.0, 3.0, 10.0, 30.0, 90.0, 600.0, 1800.0)
 
 
-def test_fig7_1_varying_epoch_size(benchmark, small_scale):
+def test_fig7_1_varying_epoch_size(small_scale):
     def experiment():
         return sweep_parameter("epoch_size_s", _EPOCH_SIZES, scale=small_scale)
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

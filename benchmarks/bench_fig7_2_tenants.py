@@ -10,13 +10,13 @@ run time grows quadratically per initial group, FFD stays fast.
 
 from __future__ import annotations
 
-from conftest import bench_profile, run_once
+from conftest import bench_profile
 
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
 
 
-def test_fig7_2_varying_tenants(benchmark, scale):
+def test_fig7_2_varying_tenants(scale):
     tenant_counts = [
         max(100, scale.num_tenants // 4),
         scale.num_tenants,
@@ -26,7 +26,7 @@ def test_fig7_2_varying_tenants(benchmark, scale):
     def experiment():
         return sweep_parameter("num_tenants", tenant_counts, scale=scale)
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

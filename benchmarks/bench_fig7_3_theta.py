@@ -9,18 +9,17 @@ affects the 2-step run time through the size of the biggest initial group.
 from __future__ import annotations
 
 import numpy as np
-from conftest import run_once
 
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
 from repro.config import PAPER_THETAS
 
 
-def test_fig7_3_varying_theta(benchmark, scale):
+def test_fig7_3_varying_theta(scale):
     def experiment():
         return sweep_parameter("theta", list(PAPER_THETAS), scale=scale)
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

@@ -9,20 +9,18 @@ every group also pays for R replicas; the 2-step run time grows with R
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
 from repro.config import PAPER_REPLICATION_FACTORS
 
 
-def test_fig7_4_varying_replication(benchmark, scale):
+def test_fig7_4_varying_replication(scale):
     def experiment():
         return sweep_parameter(
             "replication_factor", list(PAPER_REPLICATION_FACTORS), scale=scale
         )
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

@@ -10,18 +10,16 @@ time grows because more insertions succeed per group.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import GROUPING_HEADERS, sweep_parameter
 from repro.config import PAPER_SLA_LEVELS
 
 
-def test_fig7_5_varying_sla(benchmark, scale):
+def test_fig7_5_varying_sla(scale):
     def experiment():
         return sweep_parameter("sla_percent", list(PAPER_SLA_LEVELS), scale=scale)
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

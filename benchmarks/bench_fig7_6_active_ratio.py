@@ -11,13 +11,11 @@ tenants saves only two tenants' nodes).
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload, run_grouping_experiment
 
 
-def test_fig7_6_higher_active_ratio(benchmark, scale):
+def test_fig7_6_higher_active_ratio(scale):
     base = scale.config()
     variants = [
         ("default", base.logs),
@@ -45,7 +43,7 @@ def test_fig7_6_higher_active_ratio(benchmark, scale):
             rows.append((name, conditional, row))
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

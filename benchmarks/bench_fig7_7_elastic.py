@@ -12,8 +12,6 @@ tenant there, and the group's RT-TTP recovers.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import ascii_series, format_table
 from repro.core.advisor import DeploymentAdvisor
 from repro.core.master import DeploymentMaster
@@ -96,7 +94,7 @@ def _replay(workload, group, scaling_enabled: bool):
     return report, over_tenant
 
 
-def test_fig7_7_lightweight_elastic_scaling(benchmark, scale):
+def test_fig7_7_lightweight_elastic_scaling(scale):
     config = scale.config()
     workload = build_workload(config, scale.sessions_per_size)
     advice = DeploymentAdvisor(config).plan_from_workload(workload)
@@ -107,7 +105,7 @@ def test_fig7_7_lightweight_elastic_scaling(benchmark, scale):
         enabled = _replay(workload, group, scaling_enabled=True)
         return disabled, enabled
 
-    (disabled_report, over_tenant), (enabled_report, __) = run_once(benchmark, experiment)
+    (disabled_report, over_tenant), (enabled_report, __) = experiment()
 
     print()
     print(

@@ -18,7 +18,6 @@ import statistics
 import time
 
 import pytest
-from conftest import run_once
 
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
@@ -32,7 +31,7 @@ from repro.workload.composer import MultiTenantLogComposer
 from repro.workload.generator import SessionLogGenerator
 
 
-def test_headline_consolidation(benchmark, scale):
+def test_headline_consolidation(scale):
     config = scale.config()
 
     def experiment():
@@ -41,7 +40,7 @@ def test_headline_consolidation(benchmark, scale):
         matrix = ActivityMatrix.from_workload(workload, config.epoch_size_s)
         return workload, advice, matrix
 
-    workload, advice, matrix = run_once(benchmark, experiment)
+    workload, advice, matrix = experiment()
     plan = advice.plan
     used_fraction = plan.total_nodes_used / plan.total_nodes_requested
     print()
@@ -109,7 +108,7 @@ def _guard_seconds():
     return elapsed / _GUARD_LOOP
 
 
-def test_headline_obs_overhead(benchmark, obs_mode):
+def test_headline_obs_overhead(obs_mode):
     """--obs mode: the null-sink instrumentation must be (near) free.
 
     Replays an identical small scenario with the default null observer and
@@ -121,7 +120,7 @@ def test_headline_obs_overhead(benchmark, obs_mode):
     safety (sites that guard without emitting).
     """
     if not obs_mode:
-        pytest.skip("observability overhead mode: pass --obs or set REPRO_BENCH_OBS=1")
+        pytest.skip("observability overhead mode: pass --obs")
 
     config = EvaluationConfig(
         num_tenants=40, logs=LogGenerationConfig(horizon_days=3, holiday_weekdays=0), seed=5
@@ -141,7 +140,7 @@ def test_headline_obs_overhead(benchmark, obs_mode):
             emissions = len(sink.metrics) + len(sink.spans) + len(sink.events)
         return null_times, enabled_times, emissions, _guard_seconds()
 
-    null_times, enabled_times, emissions, per_guard = run_once(benchmark, experiment)
+    null_times, enabled_times, emissions, per_guard = experiment()
     median = statistics.median
     t_null, t_enabled = median(null_times), median(enabled_times)
     guard_cost = 2 * emissions * per_guard

@@ -11,8 +11,6 @@ budget to get (at best) the same answer.
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.analysis.sweeps import build_workload
 from repro.packing.direct import solve_livbp_with_direct
@@ -40,7 +38,7 @@ def _tiny_problem(scale):
     )
 
 
-def test_optimality_gap(benchmark, scale):
+def test_optimality_gap(scale):
     problem = _tiny_problem(scale)
 
     def experiment():
@@ -50,7 +48,7 @@ def test_optimality_gap(benchmark, scale):
         direct, direct_raw = solve_livbp_with_direct(problem, max_evals=1500)
         return exact, two_step, ffd, direct, direct_raw
 
-    exact, two_step, ffd, direct, direct_raw = run_once(benchmark, experiment)
+    exact, two_step, ffd, direct, direct_raw = experiment()
     for solution in (exact, two_step, ffd, direct):
         solution.validate()
     print()

@@ -7,14 +7,12 @@ rate (the paper reports ~1.2 GB/min).
 
 from __future__ import annotations
 
-from conftest import run_once
-
 from repro.analysis.report import format_table
 from repro.mppdb.loading import LoadTimeModel, PAPER_LOAD_TABLE
 from repro.units import format_duration, format_size_gb
 
 
-def test_table5_1_loading(benchmark):
+def test_table5_1_loading():
     model = LoadTimeModel()
 
     def experiment():
@@ -31,7 +29,7 @@ def test_table5_1_loading(benchmark):
             )
         return rows
 
-    rows = run_once(benchmark, experiment)
+    rows = experiment()
     print()
     print(
         format_table(

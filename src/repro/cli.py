@@ -13,17 +13,12 @@ Subcommands:
 * ``obs``     — digest a run-report directory written by
   ``replay --obs-out`` (headline counters, busiest groups, RT-TTP
   trajectory, routing decisions, scaling actions).
-* ``bench``   — run registered performance scenarios (headline / fig7 /
-  replay) at a named scale, write ``BENCH_<scenario>.json`` records, and
-  gate them against ``benchmarks/baseline/`` (non-zero exit on
-  regression).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.report import ascii_series, format_table
@@ -33,19 +28,9 @@ from .analysis.sweeps import (
     build_workload,
     sweep_parameter,
 )
-from .bench import (
-    BENCH_SCALES,
-    DEFAULT_REGRESSION_THRESHOLD,
-    compare_records,
-    default_baseline_dir,
-    run_scenarios,
-    scenario_names,
-    update_baselines,
-    write_records,
-)
 from .config import EvaluationConfig
 from .core.service import ThriftyService
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .mppdb.loading import LoadTimeModel, PAPER_LOAD_TABLE
 from .obs import MemorySink, Observer, load_run_report, write_run_report
 from .units import DAY, format_duration, format_size_gb
@@ -114,59 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("loadtimes", help="print the Table 5.1 load-time model")
-
-    bench = sub.add_parser(
-        "bench", help="run performance scenarios and gate against baselines"
-    )
-    bench.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        default=None,
-        help="scenario to run (repeatable; default: all registered)",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=sorted(BENCH_SCALES),
-        default="ci",
-        help="bench scale (default: ci)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="parallel fabric worker count (0 = in-process serial)",
-    )
-    bench.add_argument(
-        "--out",
-        metavar="DIR",
-        default=".",
-        help="directory for BENCH_<scenario>.json records (default: .)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="DIR",
-        default=None,
-        help="baseline directory (default: the repo's benchmarks/baseline)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="run each scenario N times and record the fastest (default: 1)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_REGRESSION_THRESHOLD,
-        help="regression threshold as a fraction (default: 0.15)",
-    )
-    bench.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the committed baselines from this run instead of gating",
-    )
 
     obs = sub.add_parser("obs", help="summarize a replay --obs-out run report")
     obs.add_argument("directory", help="directory written by replay --obs-out")
@@ -305,7 +237,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     caster = int if args.parameter in ("num_tenants", "replication_factor") else float
-    values = [caster(v) for v in args.values]
+    try:
+        values = [caster(v) for v in args.values]
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"{args.parameter} takes {caster.__name__} values: {exc}"
+        ) from None
     rows = sweep_parameter(
         args.parameter, values, scale=_scale_from_args(args), workers=args.workers
     )
@@ -341,6 +278,9 @@ def _cmd_loadtimes(args: argparse.Namespace) -> int:
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     report = load_run_report(args.directory)
+    top = report.top_groups(args.top)
+    focus = args.group if args.group is not None else (top[0][0] if top else None)
+    trajectory = report.rt_ttp_trajectory(focus) if focus is not None else []
     queries = report.summary.get("queries", {})
     spans = report.summary.get("spans", {})
     by_status = spans.get("by_status", {})
@@ -360,7 +300,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         )
     )
 
-    top = report.top_groups(args.top)
     groups = report.summary.get("groups", {})
     if top:
         print()
@@ -381,15 +320,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             )
         )
 
-    focus = args.group if args.group is not None else (top[0][0] if top else None)
-    if focus is not None:
-        trajectory = report.rt_ttp_trajectory(focus)
-        if trajectory:
-            print()
-            print(f"RT-TTP trajectory for {focus} ({len(trajectory)} samples):")
-            print(ascii_series([v for __, v in trajectory], label="rt_ttp"))
-            low = min(trajectory, key=lambda tv: tv[1])
-            print(f"  min {low[1]:.5f} at {format_duration(low[0])}")
+    if trajectory:
+        print()
+        print(f"RT-TTP trajectory for {focus} ({len(trajectory)} samples):")
+        print(ascii_series([v for __, v in trajectory], label="rt_ttp"))
+        low = min(trajectory, key=lambda tv: tv[1])
+        print(f"  min {low[1]:.5f} at {format_duration(low[0])}")
 
     faults = report.summary.get("faults", {})
     if faults and faults.get("node_failures", 0):
@@ -448,57 +384,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    names = args.scenarios if args.scenarios else scenario_names()
-    records = run_scenarios(names, args.scale, args.workers, repeat=args.repeat)
-    paths = write_records(records, Path(args.out))
-    print(
-        format_table(
-            ["scenario", "wall_s", "epochs/s", "solver_s", "obs_ovh", "workers", "sha"],
-            [
-                [
-                    r.scenario,
-                    f"{r.wall_s:.2f}",
-                    f"{r.metrics.get('epochs_per_s', 0.0):.1f}",
-                    f"{r.metrics.get('solver_s', 0.0):.3f}",
-                    (
-                        f"{r.metrics['obs_overhead']:.1%}"
-                        if "obs_overhead" in r.metrics
-                        else "-"
-                    ),
-                    r.workers,
-                    r.git_sha,
-                ]
-                for r in records
-            ],
-            title=f"thrifty bench (scale={args.scale})",
-        )
-    )
-    for path in paths:
-        print(f"  wrote {path}")
-    baseline_dir = Path(args.baseline) if args.baseline else default_baseline_dir()
-    if args.update_baseline:
-        for path in update_baselines(records, baseline_dir):
-            print(f"  baseline updated: {path}")
-        return 0
-    regressions, warnings = compare_records(records, baseline_dir, args.threshold)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if regressions:
-        for finding in regressions:
-            print(f"REGRESSION: {finding.message()}", file=sys.stderr)
-        return 1
-    print(f"bench gate passed ({len(records)} scenario(s), threshold {args.threshold:.0%})")
-    return 0
-
-
 _COMMANDS = {
     "plan": _cmd_plan,
     "replay": _cmd_replay,
     "sweep": _cmd_sweep,
     "loadtimes": _cmd_loadtimes,
     "obs": _cmd_obs,
-    "bench": _cmd_bench,
 }
 
 

@@ -222,6 +222,8 @@ class RunReport:
 
     def top_groups(self, n: int = 5) -> list[tuple[str, float]]:
         """The ``n`` busiest groups by queries submitted, descending."""
+        if n < 1:
+            raise ObservabilityError(f"top_groups needs n >= 1, got {n}")
         groups: Mapping[str, Mapping[str, Any]] = self.summary.get("groups", {})
         ranked = sorted(
             ((name, float(info.get("queries_submitted", 0.0))) for name, info in groups.items()),
@@ -231,8 +233,12 @@ class RunReport:
 
     def rt_ttp_trajectory(self, group: str) -> list[tuple[float, float]]:
         """A group's RT-TTP samples from the summary."""
-        info: Mapping[str, Any] = self.summary.get("groups", {}).get(group, {})
-        return [(float(t), float(v)) for t, v in info.get("rt_ttp_trajectory", [])]
+        groups: Mapping[str, Mapping[str, Any]] = self.summary.get("groups", {})
+        if group not in groups:
+            raise ObservabilityError(
+                f"unknown group {group!r}; the report has {sorted(groups)}"
+            )
+        return [(float(t), float(v)) for t, v in groups[group].get("rt_ttp_trajectory", [])]
 
     def metric_samples(self, name: str) -> list[dict[str, Any]]:
         """Rows of ``metrics.jsonl`` for one metric name."""

@@ -103,7 +103,10 @@ class TestWriteAndLoad:
         assert len(report.spans) == 4
         assert report.top_groups(5) == [("tg0", 2.0), ("tg1", 1.0)]
         assert report.rt_ttp_trajectory("tg0") == [(5.0, 0.999), (10.0, 0.95)]
-        assert report.rt_ttp_trajectory("absent") == []
+        with pytest.raises(ObservabilityError, match="tg0"):
+            report.rt_ttp_trajectory("absent")
+        with pytest.raises(ObservabilityError):
+            report.top_groups(0)
         assert len(report.metric_samples("thrifty_rt_ttp")) == 2
 
     def test_summary_is_deterministic_json(self, observer, tmp_path):

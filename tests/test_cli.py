@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,8 +96,28 @@ class TestCommands:
         assert main(["obs", str(tmp_path / "nothing-here")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_repro_error_exits_2(self, capsys):
-        # theta outside (0, 1) raises a ConfigurationError inside the
-        # library; the CLI converts it to exit code 2 with a message.
-        assert main(["sweep", "theta", "2.0", *self._FAST]) == 2
+    @pytest.mark.parametrize(
+        "options, message",
+        [(["--group", "nope"], "unknown group 'nope'"), (["--top", "-1"], "n >= 1")],
+        ids=["unknown-group", "negative-top"],
+    )
+    def test_obs_bad_group_or_top_exits_2(self, capsys, tmp_path, options, message):
+        summary = {"groups": {"tg0": {"queries_submitted": 3, "rt_ttp_trajectory": [[5.0, 1.0]]}}}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["obs", str(tmp_path), *options]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [
+            # theta outside (0, 1) raises a ConfigurationError inside the
+            # library; the CLI converts it to exit code 2 with a message.
+            ("theta", "2.0"),
+            # values that do not parse as the parameter's type
+            ("theta", "abc"),
+            ("replication_factor", "1.5"),
+        ],
+    )
+    def test_repro_error_exits_2(self, capsys, parameter, value):
+        assert main(["sweep", parameter, value, *self._FAST]) == 2
         assert "error:" in capsys.readouterr().err
