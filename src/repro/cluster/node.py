@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ..errors import ClusterError
 
@@ -56,6 +57,18 @@ class NodeState(enum.Enum):
 class Node:
     """One machine node: identity, spec, lifecycle state and assignment."""
 
+    #: Legal lifecycle moves; :meth:`_transition` rejects every other edge.
+    #: HIBERNATED -> STARTING -> RUNNING, failure from either active state,
+    #: and every path back to the pool ends in HIBERNATED.
+    _TRANSITIONS: ClassVar[dict[NodeState, frozenset[NodeState]]] = {
+        NodeState.HIBERNATED: frozenset({NodeState.STARTING}),
+        NodeState.STARTING: frozenset(
+            {NodeState.RUNNING, NodeState.FAILED, NodeState.HIBERNATED}
+        ),
+        NodeState.RUNNING: frozenset({NodeState.FAILED, NodeState.HIBERNATED}),
+        NodeState.FAILED: frozenset({NodeState.HIBERNATED}),
+    }
+
     def __init__(
         self, node_id: int, spec: NodeSpec = DEFAULT_NODE_SPEC, node_class: str = "standard"
     ) -> None:
@@ -97,41 +110,42 @@ class Node:
         """True when the node can be handed out by the pool."""
         return self._state == NodeState.HIBERNATED and self._assigned_to is None
 
-    def assign(self, owner: str) -> None:
-        """Reserve the node for an MPPDB instance and begin starting it."""
-        if not self.is_available:
+    def _transition(self, target: NodeState) -> None:
+        """Move to ``target``; raises :class:`ClusterError` on an undeclared edge."""
+        if target not in self._TRANSITIONS[self._state]:
             raise ClusterError(
-                f"node {self._node_id} is not available "
-                f"(state={self._state.value}, assigned_to={self._assigned_to!r})"
+                f"node {self._node_id} cannot go from {self._state.value} to {target.value}"
             )
+        self._state = target
+
+    def assign(self, owner: str) -> None:
+        """Reserve the node for an MPPDB instance and begin starting it.
+
+        Only a hibernated node can start, and a hibernated node is never
+        assigned, so the transition table alone rejects a double assign.
+        """
+        self._transition(NodeState.STARTING)
         self._assigned_to = owner
-        self._state = NodeState.STARTING
 
     def mark_running(self) -> None:
         """Transition a starting node to running."""
-        if self._state != NodeState.STARTING:
-            raise ClusterError(f"node {self._node_id} cannot run from state {self._state.value}")
-        self._state = NodeState.RUNNING
+        self._transition(NodeState.RUNNING)
 
     def fail(self) -> None:
-        """Mark the node failed (must currently be assigned)."""
-        if self._state not in (NodeState.STARTING, NodeState.RUNNING):
-            raise ClusterError(f"node {self._node_id} cannot fail from state {self._state.value}")
-        self._state = NodeState.FAILED
+        """Mark the node failed (must currently be starting or running)."""
+        self._transition(NodeState.FAILED)
 
     def release(self) -> None:
-        """Return the node to the pool (hibernate it)."""
-        if self._assigned_to is None:
-            raise ClusterError(f"node {self._node_id} is not assigned")
+        """Return an assigned node to the pool (hibernate it)."""
+        self._transition(NodeState.HIBERNATED)
         self._assigned_to = None
-        self._state = NodeState.HIBERNATED
 
     def repair(self) -> None:
         """Repair a failed node back into the available pool."""
         if self._state != NodeState.FAILED:
             raise ClusterError(f"node {self._node_id} is not failed")
+        self._transition(NodeState.HIBERNATED)
         self._assigned_to = None
-        self._state = NodeState.HIBERNATED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node(id={self._node_id}, state={self._state.value}, owner={self._assigned_to!r})"

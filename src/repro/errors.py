@@ -31,7 +31,6 @@ __all__ = [
     "ParallelError",
     "ShardFailedError",
     "LintError",
-    "AnalysisError",
     "ObservabilityError",
 ]
 
@@ -139,10 +138,6 @@ class ShardFailedError(ParallelError):
 
 class LintError(ReproError):
     """The :mod:`repro.tools.lint` static-analysis pass was misused."""
-
-
-class AnalysisError(ReproError):
-    """The :mod:`repro.tools.analyze` whole-program analyzer was misused."""
 
 
 class ObservabilityError(ReproError):

@@ -9,7 +9,7 @@ several run concurrently (:mod:`~repro.mppdb.execution`).
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from ..errors import InstanceNotReadyError, MPPDBError, TenantNotHostedError
 from ..simulation.engine import Simulator
@@ -52,6 +52,39 @@ class MPPDBInstance:
         the provisioning layer when a :class:`~repro.cluster.pool.MachinePool`
         is in play; pure-algorithm uses may omit them).
     """
+
+    #: Legal lifecycle moves; :meth:`_transition` rejects every other edge.
+    #: Only :meth:`mark_ready` leaves PROVISIONING and only
+    #: :meth:`complete_node_replacement` brings a DEGRADED or DOWN instance
+    #: back to READY.  DOWN is absorbing with respect to further node
+    #: failures: there is no DOWN -> DEGRADED edge.  The two self-loops are
+    #: another node failure while DEGRADED and :meth:`mark_down` while DOWN.
+    #: RETIRED is final.
+    _TRANSITIONS: ClassVar[dict[InstanceState, frozenset[InstanceState]]] = {
+        InstanceState.PROVISIONING: frozenset(
+            {
+                InstanceState.READY,
+                InstanceState.DEGRADED,
+                InstanceState.DOWN,
+                InstanceState.RETIRED,
+            }
+        ),
+        InstanceState.READY: frozenset(
+            {InstanceState.DEGRADED, InstanceState.DOWN, InstanceState.RETIRED}
+        ),
+        InstanceState.DEGRADED: frozenset(
+            {
+                InstanceState.READY,
+                InstanceState.DEGRADED,
+                InstanceState.DOWN,
+                InstanceState.RETIRED,
+            }
+        ),
+        InstanceState.DOWN: frozenset(
+            {InstanceState.READY, InstanceState.DOWN, InstanceState.RETIRED}
+        ),
+        InstanceState.RETIRED: frozenset(),
+    }
 
     def __init__(
         self,
@@ -126,6 +159,14 @@ class MPPDBInstance:
         """Nodes currently not serving: failed plus still-loading replacements."""
         return len(self._failed_nodes) + len(self._recovering_nodes)
 
+    def _transition(self, target: InstanceState) -> None:
+        """Move to ``target``; raises :class:`MPPDBError` on an undeclared edge."""
+        if target not in self._TRANSITIONS[self._state]:
+            raise MPPDBError(
+                f"instance {self.name!r} cannot go from {self._state.value} to {target.value}"
+            )
+        self._state = target
+
     def mark_ready(self) -> None:
         """Transition to READY (called by the provisioning layer).
 
@@ -134,17 +175,14 @@ class MPPDBInstance:
         """
         if self._state != InstanceState.PROVISIONING:
             raise MPPDBError(f"instance {self.name!r} cannot become ready from {self._state.value}")
-        if self.impaired_node_count:
-            self._state = InstanceState.DEGRADED
-        else:
-            self._state = InstanceState.READY
+        self._transition(
+            InstanceState.DEGRADED if self.impaired_node_count else InstanceState.READY
+        )
         self._ready_time = self._sim.now
 
     def retire(self) -> None:
         """Stop accepting queries; running ones are allowed to drain."""
-        if self._state == InstanceState.RETIRED:
-            raise MPPDBError(f"instance {self.name!r} is already retired")
-        self._state = InstanceState.RETIRED
+        self._transition(InstanceState.RETIRED)
 
     def record_node_failure(self, node_id: int) -> None:
         """A node backing this instance failed (Chapter 4.4 notification).
@@ -160,17 +198,16 @@ class MPPDBInstance:
             raise MPPDBError(f"node {node_id} does not back instance {self.name!r}")
         self._recovering_nodes.pop(node_id, None)
         self._failed_nodes.add(node_id)
-        if self._state in (InstanceState.READY, InstanceState.DEGRADED, InstanceState.DOWN):
-            if self.impaired_node_count >= self.parallelism:
-                self._state = InstanceState.DOWN
-            elif self._state is not InstanceState.DOWN:
-                self._state = InstanceState.DEGRADED
+        if self._state in (InstanceState.READY, InstanceState.DEGRADED):
+            self._transition(
+                InstanceState.DOWN
+                if self.impaired_node_count >= self.parallelism
+                else InstanceState.DEGRADED
+            )
 
     def mark_down(self) -> None:
         """Take the instance out of service (e.g. no replacement capacity)."""
-        if self._state in (InstanceState.RETIRED,):
-            raise MPPDBError(f"instance {self.name!r} is retired")
-        self._state = InstanceState.DOWN
+        self._transition(InstanceState.DOWN)
 
     def begin_node_replacement(self, failed_node_id: int, new_node_id: int, token: int) -> None:
         """Swap a failed node for a freshly allocated one that starts loading.
@@ -205,7 +242,7 @@ class MPPDBInstance:
             InstanceState.DEGRADED,
             InstanceState.DOWN,
         ):
-            self._state = InstanceState.READY
+            self._transition(InstanceState.READY)
         return True
 
     def abort_running(self) -> list[QueryExecution]:

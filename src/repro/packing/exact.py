@@ -37,7 +37,7 @@ def exact_grouping(problem: LIVBPwFCProblem, max_tenants: int = MAX_EXACT_TENANT
             f"exact solver is limited to {max_tenants} tenants; got {len(items)} "
             "(use the 2-step heuristic at scale)"
         )
-    started = time.perf_counter()
+    started = time.perf_counter()  # thrifty: noqa[THR001] measurement metadata
     d = problem.num_epochs
     r = problem.replication_factor
     p = problem.sla_fraction
@@ -101,7 +101,7 @@ def exact_grouping(problem: LIVBPwFCProblem, max_tenants: int = MAX_EXACT_TENANT
 
     if items:
         recurse(0)
-    elapsed = time.perf_counter() - started
+    elapsed = time.perf_counter() - started  # thrifty: noqa[THR001] measurement metadata
     if not best_groups and items:
         raise PackingError("exact solver found no feasible partition")
     return GroupingSolution(problem, best_groups, solver="exact-bb", solve_seconds=elapsed)

@@ -46,7 +46,7 @@ class RngFactory:
 
     def stream(self, *names: object) -> np.random.Generator:
         """Return a fresh generator for the sub-stream identified by ``names``."""
-        return np.random.default_rng(derive_seed(self._seed, *names))
+        return np.random.default_rng(derive_seed(self._seed, *names))  # thrifty: noqa[THR001] the seeded stream source
 
     def spawn(self, *names: object) -> "RngFactory":
         """Return a child factory rooted at the given name path."""

@@ -1,15 +1,9 @@
 """Developer tooling shipped with the Thrifty reproduction.
 
-Two static-analysis entry points live here, both machine-checking the
-invariants the library's correctness rests on — deterministic replay, the
-:class:`~repro.errors.ReproError` hierarchy, declared lifecycle
-transitions, and a documented API surface:
-
-* :mod:`repro.tools.lint` (``thrifty-lint``) — fast per-file rules
-  THR001..THR008;
-* :mod:`repro.tools.analyze` (``thrifty-analyze``) — whole-program
-  interprocedural passes THRA101..THRA105 over the import and call
-  graphs, with a checked-in baseline for accepted findings.
+:mod:`repro.tools.lint` (``thrifty-lint``) holds fast per-file rules that
+machine-check invariants the library's correctness rests on, such as
+deterministic replay and the :class:`~repro.errors.ReproError` hierarchy.
+``thrifty-lint --list-rules`` prints the registered rules.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ invariant each rule guards and the paper section it traces back to.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from pathlib import PurePosixPath
 from typing import Iterator
@@ -20,19 +21,21 @@ __all__ = [
     "FloatEqualityRule",
     "MutableDefaultRule",
     "BroadExceptRule",
-    "PublicAnnotationRule",
     "NoBarePrintRule",
     "EnumValueComparisonRule",
     "ParallelImportRule",
 ]
 
-#: Layers whose behaviour is replayed deterministically (THR001 scope).
-_REPLAY_LAYERS = ("simulation", "core", "mppdb", "workload")
-
-#: ``module.attr`` call chains that leak ambient nondeterminism.
+#: ``module.attr`` call chains that leak ambient nondeterminism (THR001).
 _FORBIDDEN_CALLS = {
     ("time", "time"): "wall-clock time.time()",
     ("time", "time_ns"): "wall-clock time.time_ns()",
+    ("time", "perf_counter"): "wall-clock time.perf_counter()",
+    ("time", "perf_counter_ns"): "wall-clock time.perf_counter_ns()",
+    ("time", "monotonic"): "wall-clock time.monotonic()",
+    ("time", "monotonic_ns"): "wall-clock time.monotonic_ns()",
+    ("time", "process_time"): "wall-clock time.process_time()",
+    ("time", "process_time_ns"): "wall-clock time.process_time_ns()",
     ("datetime", "now"): "wall-clock datetime.now()",
     ("datetime", "utcnow"): "wall-clock datetime.utcnow()",
     ("date", "today"): "wall-clock date.today()",
@@ -44,28 +47,19 @@ _FORBIDDEN_CALLS = {
     ("random", "random"): "process-global random.random()",
 }
 
-#: Builtin exception classes library code must not raise directly (THR002).
+#: Builtin exception classes library code must not raise (THR002): every
+#: ``Exception`` subclass in :mod:`builtins`, plus ``BaseException``.
 #: ``NotImplementedError`` stays legal: it marks abstract methods, which is a
 #: programming-error signal, not a library failure a caller should catch.
 _BUILTIN_RAISES = frozenset(
-    {
-        "Exception",
-        "BaseException",
-        "ValueError",
-        "TypeError",
-        "RuntimeError",
-        "KeyError",
-        "IndexError",
-        "LookupError",
-        "AttributeError",
-        "ArithmeticError",
-        "ZeroDivisionError",
-        "OSError",
-        "IOError",
-        "StopIteration",
-        "AssertionError",
-    }
-)
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, Exception) and obj is not NotImplementedError
+) | {"BaseException"}
+
+#: Builtins whose bare re-raise THR002 flags.  A bare ``raise`` under
+#: ``except Exception:`` is THR005's recommended form, so it stays legal.
+_NARROW_BUILTINS = _BUILTIN_RAISES - {"Exception", "BaseException"}
 
 #: Identifier fragments that mark a quantity as SLA/latency/epoch-valued
 #: (THR003); matched case-insensitively against names and attributes.
@@ -88,16 +82,16 @@ def _attr_chain(node: ast.AST) -> tuple[str, ...]:
 
 @register
 class ReplayDeterminismRule(Rule):
-    """THR001 — replay layers must draw time and randomness from the framework."""
+    """THR001 — library code draws time and randomness from the framework."""
 
     code = "THR001"
     summary = (
-        "no ambient randomness or wall-clock time in simulation/core/mppdb/workload; "
+        "no ambient randomness or wall-clock time in src/repro; "
         "use repro.rng streams and the simulation clock"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_layer(*_REPLAY_LAYERS):
+        if not ctx.in_repro():
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
@@ -131,7 +125,11 @@ class ReplayDeterminismRule(Rule):
 
 @register
 class ReproErrorRule(Rule):
-    """THR002 — library raises must use the :class:`ReproError` hierarchy."""
+    """THR002 — library raises must use the :class:`ReproError` hierarchy.
+
+    A bare ``raise`` inside ``except ValueError:`` re-raises the builtin, so
+    it counts as raising it.
+    """
 
     code = "THR002"
     summary = "every `raise` in src/repro uses a ReproError subclass"
@@ -139,23 +137,46 @@ class ReproErrorRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         if not ctx.in_repro():
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            exc = node.exc
-            name = None
-            if isinstance(exc, ast.Call):
-                chain = _attr_chain(exc.func)
-                name = chain[-1] if chain else None
-            elif isinstance(exc, ast.Name):
-                name = exc.id
-            if name in _BUILTIN_RAISES:
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"raises builtin {name}; library failures must derive from "
-                    "repro.errors.ReproError so callers can catch them selectively",
-                )
+        yield from self._check_raises(ctx, ctx.tree, caught=None)
+
+    def _check_raises(
+        self, ctx: FileContext, node: ast.AST, caught: str | None
+    ) -> Iterator[Violation]:
+        """Walk ``node``; ``caught`` is the builtin a bare ``raise`` re-raises."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                if child.exc is None:
+                    name, verb = caught, "re-raises"
+                else:
+                    chain = _attr_chain(
+                        child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    )
+                    name, verb = (chain[-1] if chain else None), "raises"
+                if name in _BUILTIN_RAISES:
+                    yield self.violation(
+                        ctx,
+                        child,
+                        f"{verb} builtin {name}; library failures must derive from "
+                        "repro.errors.ReproError so callers can catch them selectively",
+                    )
+            inner = caught
+            if isinstance(child, ast.ExceptHandler):
+                inner = self._caught_builtin(child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = None
+            yield from self._check_raises(ctx, child, inner)
+
+    @staticmethod
+    def _caught_builtin(handler: ast.ExceptHandler) -> str | None:
+        """The first narrow builtin exception ``handler`` catches, if any."""
+        if handler.type is None:
+            return None
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        for node in types:
+            chain = _attr_chain(node)
+            if chain and chain[-1] in _NARROW_BUILTINS:
+                return chain[-1]
+        return None
 
 
 @register
@@ -260,70 +281,6 @@ class BroadExceptRule(Rule):
                     "broad except without re-raise swallows programming errors; "
                     "catch a specific ReproError subclass or re-raise",
                 )
-
-
-@register
-class PublicAnnotationRule(Rule):
-    """THR006 — the optimization core's public surface is fully annotated."""
-
-    code = "THR006"
-    summary = "public functions in core/, packing/, simulation/, obs/ have complete type annotations"
-
-    _LAYERS = ("core", "packing", "simulation", "obs", "parallel")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if not ctx.in_layer(*self._LAYERS):
-            return
-        yield from self._check_body(ctx, ctx.tree.body, is_method=False)
-
-    def _check_body(
-        self, ctx: FileContext, body: list[ast.stmt], *, is_method: bool
-    ) -> Iterator[Violation]:
-        for node in body:
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                yield from self._check_body(ctx, node.body, is_method=True)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not (
-                    node.name.startswith("__") and node.name.endswith("__")
-                ):
-                    continue
-                yield from self._check_signature(ctx, node, is_method=is_method)
-
-    def _check_signature(
-        self,
-        ctx: FileContext,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        *,
-        is_method: bool,
-    ) -> Iterator[Violation]:
-        args = node.args
-        positional = [*args.posonlyargs, *args.args]
-        if is_method and positional and not self._is_staticmethod(node):
-            positional = positional[1:]  # self / cls
-        missing = [
-            a.arg
-            for a in [*positional, *args.kwonlyargs, args.vararg, args.kwarg]
-            if a is not None and a.annotation is None
-        ]
-        if missing:
-            yield self.violation(
-                ctx,
-                node,
-                f"public function `{node.name}` is missing parameter annotations: "
-                + ", ".join(missing),
-            )
-        if node.returns is None:
-            yield self.violation(
-                ctx,
-                node,
-                f"public function `{node.name}` is missing a return annotation",
-            )
-
-    @staticmethod
-    def _is_staticmethod(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        return any(
-            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
-        )
 
 
 @register

@@ -117,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="thrifty-lint",
         description=(
             "Domain-aware static analysis for the Thrifty reproduction: "
-            "checks deterministic-replay, error-hierarchy, float-comparison, "
-            "and typing invariants (rules THR001..THR007)."
+            "checks deterministic-replay, error-hierarchy and float-comparison "
+            "invariants (see --list-rules)."
         ),
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories to lint")

@@ -3,7 +3,8 @@
 A violation is suppressed when the physical line it is reported on carries a
 ``thrifty: noqa`` comment naming its code (or a blanket ``thrifty: noqa``
 with no bracket, which silences every rule on that line).  Codes may be
-comma-separated: ``# thrifty: noqa[THR001,THR003]``.
+separated by commas or whitespace: ``# thrifty: noqa[THR001,THR003]``, and
+whitespace before the bracket is allowed: ``# thrifty: noqa [THR001]``.
 
 Suppressions are found by *tokenizing* the source: only real ``COMMENT``
 tokens count, so the marker appearing inside a string literal (for example
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 _NOQA = re.compile(
-    r"#\s*thrifty:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?",
+    r"#\s*thrifty:\s*noqa(?:\s*\[(?P<codes>[A-Z0-9,\s]+)\])?",
     re.IGNORECASE,
 )
 
@@ -70,7 +71,7 @@ def _parse_codes(match: "re.Match[str]") -> frozenset[str]:
     codes = match.group("codes")
     if codes is None:
         return frozenset({ALL_CODES})
-    return frozenset(c.strip().upper() for c in codes.split(",") if c.strip())
+    return frozenset(c.upper() for c in re.split(r"[,\s]+", codes) if c)
 
 
 def noqa_comments(source: str) -> list[NoqaComment]:

@@ -115,3 +115,68 @@ class TestProvisioningFailures:
 
         with pytest.raises(InstanceNotReadyError):
             instance.submit_query(1, 1.0)
+
+
+class TestTransitionTable:
+    def test_undeclared_edge_is_rejected(self):
+        _, instance = _ready_instance()
+        instance.mark_down()
+        with pytest.raises(MPPDBError, match="cannot go from down to degraded"):
+            instance._transition(InstanceState.DEGRADED)
+        assert instance.state is InstanceState.DOWN
+
+    def test_node_failure_does_not_promote_down_to_degraded(self):
+        # Regression: losing another node once DOWN used to land DEGRADED.
+        _, instance = _ready_instance()
+        instance.record_node_failure(10)
+        instance.mark_down()
+        instance.record_node_failure(11)
+        assert instance.state is InstanceState.DOWN
+
+
+def _instance_in(state):
+    """An instance in ``state``; DEGRADED and DOWN have replacement 42 loading."""
+    sim = Simulator()
+    instance = MPPDBInstance("tg0/mppdb0", 3, sim, node_ids=(10, 11, 12))
+    if state is InstanceState.PROVISIONING:
+        return instance
+    instance.mark_ready()
+    if state in (InstanceState.DEGRADED, InstanceState.DOWN):
+        instance.record_node_failure(10)
+        instance.begin_node_replacement(10, 42, token=1)
+    if state is InstanceState.DOWN:
+        instance.mark_down()
+    if state is InstanceState.RETIRED:
+        instance.retire()
+    assert instance.state is state
+    return instance
+
+
+_MUTATORS = {
+    "mark_ready": lambda i: i.mark_ready(),
+    "retire": lambda i: i.retire(),
+    "record_node_failure": lambda i: i.record_node_failure(11),
+    "mark_down": lambda i: i.mark_down(),
+    "begin_node_replacement": lambda i: i.begin_node_replacement(11, 43, token=2),
+    "complete_node_replacement": lambda i: i.complete_node_replacement(42, token=1),
+}
+
+_ROUTES_TO_READY = {
+    (InstanceState.PROVISIONING, "mark_ready"),
+    (InstanceState.DEGRADED, "complete_node_replacement"),
+    (InstanceState.DOWN, "complete_node_replacement"),
+}
+
+
+@pytest.mark.parametrize("mutator", sorted(_MUTATORS))
+@pytest.mark.parametrize("state", list(InstanceState), ids=lambda s: s.name)
+def test_every_mutator_from_every_state_follows_the_table(state, mutator):
+    instance = _instance_in(state)
+    try:
+        _MUTATORS[mutator](instance)
+    except MPPDBError:
+        assert instance.state is state
+    after = instance.state
+    assert after is state or after in MPPDBInstance._TRANSITIONS[state]
+    reached_ready = after is InstanceState.READY and state is not InstanceState.READY
+    assert reached_ready == ((state, mutator) in _ROUTES_TO_READY)

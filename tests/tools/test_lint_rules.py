@@ -75,11 +75,11 @@ class TestTHR001ReplayDeterminism:
         )
         assert good == []
 
-    def test_quiet_outside_replay_layers(self, tmp_path):
-        # packing/analysis may time their own solver runs with perf_counter.
-        good = _lint_snippet(
+    def test_fires_in_every_repro_layer(self, tmp_path):
+        # No layer is exempt: solver timing in analysis/ needs a noqa too.
+        bad = _lint_snippet(
             tmp_path,
-            "src/repro/analysis/good.py",
+            "src/repro/analysis/bad.py",
             """
             import time
 
@@ -88,7 +88,45 @@ class TestTHR001ReplayDeterminism:
             """,
             select="THR001",
         )
-        assert good == []
+        assert [v.line for v in bad] == [5]
+
+    def test_fires_on_perf_counter_behind_a_helper(self, tmp_path):
+        # A timing helper a replay reaches through two calls still reads the
+        # host clock where it stands.
+        bad = _lint_snippet(
+            tmp_path,
+            "src/repro/packing/timing.py",
+            """
+            import time
+
+            def stamp() -> float:
+                return time.perf_counter()
+
+            def plan() -> float:
+                return stamp()
+            """,
+            select="THR001",
+        )
+        assert [v.line for v in bad] == [5]
+        assert "time.perf_counter()" in bad[0].message
+
+    def test_fires_on_stdlib_random_and_default_rng(self, tmp_path):
+        bad = _lint_snippet(
+            tmp_path,
+            "src/repro/core/service.py",
+            """
+            import random
+
+            import numpy
+
+            class Replay:
+                def run(self) -> float:
+                    numpy.random.default_rng()
+                    return random.random()
+            """,
+            select="THR001",
+        )
+        assert {v.line for v in bad} == {2, 8, 9}
 
 
 class TestTHR002ReproErrors:
@@ -105,6 +143,39 @@ class TestTHR002ReproErrors:
         )
         assert len(bad) == 1
         assert "ValueError" in bad[0].message
+
+    def test_fires_on_private_helper_raise(self, tmp_path):
+        bad = _lint_snippet(
+            tmp_path,
+            "src/repro/core/api.py",
+            """
+            def load(raw: str) -> str:
+                return _parse(raw)
+
+            def _parse(raw: str) -> str:
+                if not raw:
+                    raise ValueError("empty")
+                return raw
+            """,
+            select="THR002",
+        )
+        assert [v.line for v in bad] == [7]
+
+    def test_fires_on_bare_reraise_of_caught_builtin(self, tmp_path):
+        bad = _lint_snippet(
+            tmp_path,
+            "src/repro/core/api.py",
+            """
+            def read(path: str) -> str:
+                try:
+                    return open(path).read()
+                except (KeyError, FileNotFoundError):
+                    raise
+            """,
+            select="THR002",
+        )
+        assert len(bad) == 1
+        assert "re-raises builtin KeyError" in bad[0].message
 
     def test_quiet_on_repro_error_bare_reraise_and_stubs(self, tmp_path):
         good = _lint_snippet(
@@ -125,6 +196,22 @@ class TestTHR002ReproErrors:
                     check(-1)
                 except MPPDBError:
                     raise
+
+            def broad() -> None:
+                try:
+                    check(-1)
+                except Exception:
+                    raise
+
+            def translated(raw: str) -> int:
+                try:
+                    return int(raw)
+                except ValueError:
+                    try:
+                        check(-1)
+                    except MPPDBError:
+                        raise
+                    return 0
             """,
             select="THR002",
         )
@@ -248,59 +335,6 @@ class TestTHR005BroadExcept:
                     raise
             """,
             select="THR005",
-        )
-        assert good == []
-
-
-class TestTHR006PublicAnnotations:
-    def test_fires_on_unannotated_public_function(self, tmp_path):
-        bad = _lint_snippet(
-            tmp_path,
-            "src/repro/packing/bad.py",
-            """
-            def pack(items, capacity):
-                return [items]
-
-            class Solver:
-                def solve(self, problem):
-                    return problem
-            """,
-            select="THR006",
-        )
-        # pack: params + return; Solver.solve: params + return.
-        assert len(bad) == 4
-
-    def test_quiet_on_annotated_and_private(self, tmp_path):
-        good = _lint_snippet(
-            tmp_path,
-            "src/repro/packing/good.py",
-            """
-            def pack(items: list[int], capacity: float) -> list[list[int]]:
-                return [items]
-
-            def _helper(x):
-                return x
-
-            class Solver:
-                def solve(self, problem: int) -> int:
-                    return problem
-
-                def _internal(self, anything):
-                    return anything
-            """,
-            select="THR006",
-        )
-        assert good == []
-
-    def test_quiet_outside_typed_core(self, tmp_path):
-        good = _lint_snippet(
-            tmp_path,
-            "src/repro/workload/loose.py",
-            """
-            def pack(items, capacity):
-                return [items]
-            """,
-            select="THR006",
         )
         assert good == []
 
@@ -543,7 +577,6 @@ class TestTHR009ParallelImport:
         "THR003",
         "THR004",
         "THR005",
-        "THR006",
         "THR007",
         "THR008",
         "THR009",

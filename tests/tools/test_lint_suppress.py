@@ -34,6 +34,12 @@ class TestParsing:
             "THR001",
             "THR003",
         }
+        assert suppressed_codes("x  # thrifty: noqa[THR001 THR003]") == {
+            "THR001",
+            "THR003",
+        }
+        # A space before the bracket must not turn the comment into a blanket.
+        assert suppressed_codes("x = 1  # thrifty: noqa [THR001]") == {"THR001"}
 
     def test_blanket_form_yields_sentinel(self):
         assert suppressed_codes("x  # thrifty: noqa") == {ALL_CODES}
