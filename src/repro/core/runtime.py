@@ -24,8 +24,9 @@ collection on the tenant's dedicated, exactly-sized MPPDB.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
 
@@ -93,6 +94,33 @@ class _ClosedLoopChain:
         return self.index < len(self.events)
 
 
+class _Query:
+    """One logged query from first submission to completion or failure."""
+
+    __slots__ = (
+        "tenant_id", "record", "first_submit", "attempts", "instance", "deadline", "chain", "span"
+    )
+
+    def __init__(
+        self,
+        tenant_id: int,
+        record: QueryRecord,
+        first_submit: float,
+        chain: Optional[_ClosedLoopChain],
+        span: Optional[Span],
+    ) -> None:
+        self.tenant_id = tenant_id
+        self.record = record
+        self.first_submit = first_submit
+        self.attempts = 0
+        # Name of the instance the latest attempt ran on ("" before the
+        # first admission); on a re-attempt, the one that failed it.
+        self.instance = ""
+        self.deadline: Optional[ScheduledEvent] = None
+        self.chain = chain
+        self.span = span
+
+
 @dataclass
 class RuntimeReport:
     """Everything observed while replaying one group."""
@@ -109,6 +137,8 @@ class RuntimeReport:
     queries_failed: int = 0
     failovers: int = 0
     fault_records: list[FaultRecord] = field(default_factory=list)
+    #: Submitted, not yet completed or failed: in flight, parked or in backoff.
+    queries_pending: int = 0
 
     def rt_ttp_min(self) -> float:
         """Lowest RT-TTP sample observed."""
@@ -140,8 +170,8 @@ class GroupRuntime:
     ) -> None:
         if not (0 < sla_fraction <= 1):
             raise DeploymentError("sla_fraction must be in (0, 1]")
-        if monitor_interval_s <= 0:
-            raise DeploymentError("monitor_interval_s must be positive")
+        if not (math.isfinite(monitor_interval_s) and monitor_interval_s > 0):
+            raise DeploymentError("monitor_interval_s must be finite and positive")
         self._deployed = deployed
         self._logs = dict(logs)
         missing = set(deployed.deployment.placement.tenant_ids) - set(self._logs)
@@ -164,18 +194,13 @@ class GroupRuntime:
         self._submitted = 0
         self._completed = 0
         self._overflow = 0
-        self._inflight: dict[tuple[str, int], QueryRecord] = {}
-        # Fault-tolerance plane: retry policy, attempt counts, park queue.
-        # All per-record dicts are keyed by ``id(record)`` (records live for
-        # the whole replay, so identities are stable) like _record_chain.
+        # Submitted, not yet completed or failed, in first-submission order:
+        # in flight (_inflight), parked (_parked) or waiting out a backoff.
+        self._live: dict[_Query, None] = {}
+        self._inflight: dict[QueryExecution, _Query] = {}
+        self._parked: dict[_Query, None] = {}
         self._fault = fault if fault is not None else DEFAULT_RETRY_POLICY
         self._fault_rng = fault_rng
-        self._health = health
-        self._attempts: dict[int, int] = {}
-        self._first_submit: dict[int, float] = {}
-        self._failed_instance: dict[int, str] = {}
-        self._parked: dict[int, tuple[int, QueryRecord]] = {}
-        self._park_deadline: dict[int, ScheduledEvent] = {}
         self._retried = 0
         self._failed_count = 0
         self._failovers = 0
@@ -184,19 +209,14 @@ class GroupRuntime:
             health.on_recover(self._on_instance_recovered)
         for spec in deployed.deployment.tenants:
             self._monitor.register_tenant(spec.tenant_id, spec.nodes_requested)
-        self._wire_completions(deployed.instances)
-        self._wired: set[MPPDBInstance] = set(deployed.instances)
         self._scheduled = False
         self._closed_loop = bool(closed_loop)
-        # Closed-loop bookkeeping: record identity -> its event chain.
-        self._record_chain: dict[int, "_ClosedLoopChain"] = {}
         self._observer = observer if observer is not None else NULL_OBSERVER
-        # Query-lifecycle spans, keyed like _record_chain by record identity.
-        self._record_span: dict[int, Span] = {}
         if self._observer.enabled:
             self._monitor.observe_with(self._observer)
-            for instance in self._wired:
-                instance.engine.observe_with(self._observer, instance.name)
+        self._wired: set[MPPDBInstance] = set()
+        for instance in deployed.instances:
+            self._wire(instance)
 
     @property
     def monitor(self) -> GroupActivityMonitor:
@@ -208,84 +228,91 @@ class GroupRuntime:
         """The group's query router."""
         return self._router
 
-    def _wire_completions(self, instances: Sequence[MPPDBInstance]) -> None:
-        for instance in instances:
-            self._wire_instance(instance)
+    def _wire(self, instance: MPPDBInstance) -> None:
+        instance.engine.on_complete(self._on_done)
+        instance.engine.on_abort(self._on_abort)
+        if self._observer.enabled:
+            instance.engine.observe_with(self._observer, instance.name)
+        self._wired.add(instance)
 
-    def _wire_instance(self, instance: MPPDBInstance) -> None:
-        def _done(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
-            key = (_instance.name, execution.query_id)
-            record = self._inflight.pop(key, None)
-            if record is None:
-                return
-            rid = id(record)
+    def _on_done(self, execution: QueryExecution) -> None:
+        query = self._inflight.pop(execution, None)
+        if query is not None:
             finish = execution.finish_time if execution.finish_time is not None else 0.0
-            self._completed += 1
-            self._monitor.on_query_finish(execution.tenant_id, finish)
-            # A retried query's observed latency spans from its *first*
-            # submission, so retry backoff honestly counts against the SLA.
-            first = self._first_submit.pop(rid, execution.submit_time)
-            self._attempts.pop(rid, None)
-            self._failed_instance.pop(rid, None)
-            sla_record = SLARecord(
-                tenant_id=execution.tenant_id,
-                group_name=self._deployed.group_name,
-                instance_name=_instance.name,
+            self._complete(query, finish)
+
+    def _complete(self, query: _Query, finish: float) -> None:
+        """Settle a completed query's books, SLA record and closed-loop chain."""
+        record = query.record
+        self._completed += 1
+        self._monitor.on_query_finish(query.tenant_id, finish)
+        # A retried query's observed latency spans from its *first*
+        # submission, so retry backoff honestly counts against the SLA.
+        sla_record = SLARecord(
+            tenant_id=query.tenant_id,
+            group_name=self._deployed.group_name,
+            instance_name=query.instance,
+            template=record.template,
+            submit_time_s=record.submit_time_s,
+            baseline_latency_s=record.latency_s,
+            observed_latency_s=finish - query.first_submit,
+        )
+        self._sla_records.append(sla_record)
+        self._observe_completion(query, sla_record, finish)
+        self._retire(query, finish)
+
+    def _submit(
+        self,
+        tenant_id: int,
+        record: QueryRecord,
+        time: float,
+        chain: Optional[_ClosedLoopChain] = None,
+    ) -> None:
+        """First submission: metrics and span once, however many attempts follow."""
+        observer = self._observer
+        span = None
+        if observer.enabled:
+            group = self._deployed.group_name
+            observer.queries_submitted.labels(group=group).inc(time)
+            span = observer.tracer.start_span(
+                "query",
+                time,
+                kind="query",
+                group=group,
+                tenant=tenant_id,
                 template=record.template,
-                submit_time_s=record.submit_time_s,
-                baseline_latency_s=record.latency_s,
-                observed_latency_s=finish - first,
             )
-            self._sla_records.append(sla_record)
-            self._observe_completion(record, sla_record, finish)
-            self._on_record_complete(record, finish)
+            span.add_event(time, "submit")
+        query = _Query(tenant_id, record, time, chain, span)
+        self._live[query] = None
+        self._attempt(query, time)
 
-        def _aborted(execution: QueryExecution, _instance: MPPDBInstance = instance) -> None:
-            self._on_abort(execution, _instance)
-
-        instance.engine.on_complete(_done)
-        instance.engine.on_abort(_aborted)
-
-    def _submit(self, tenant_id: int, record: QueryRecord, time: float) -> None:
+    def _attempt(self, query: _Query, time: float) -> None:
+        """Route and admit one attempt of ``query``: first, retry or unpark."""
+        tenant_id = query.tenant_id
+        record = query.record
         spec = self._deployed.deployment.tenant(tenant_id)
-        rid = id(record)
         observer = self._observer
         group = self._deployed.group_name
-        if rid not in self._first_submit:
-            # First attempt: submission metrics and the lifecycle span are
-            # created exactly once, however many retries follow.
-            self._first_submit[rid] = time
-            if observer.enabled:
-                observer.queries_submitted.labels(group=group).inc(time)
-                span = observer.tracer.start_span(
-                    "query",
-                    time,
-                    kind="query",
-                    group=group,
-                    tenant=tenant_id,
-                    template=record.template,
-                )
-                span.add_event(time, "submit")
-                self._record_span[rid] = span
         try:
             instance = self._router.route(tenant_id)
         except NoHealthyInstanceError:
             # Graceful degradation: every hosting replica is degraded, down
             # or loading — queue the query until an instance recovers.
-            self._park(tenant_id, record, time)
+            self._park(query, time)
             return
-        deadline_handle = self._park_deadline.pop(rid, None)
-        if deadline_handle is not None:
-            self._sim.cancel(deadline_handle)
-        self._attempts[rid] = attempt = self._attempts.get(rid, 0) + 1
-        failed_from = self._failed_instance.pop(rid, None)
+        if query.deadline is not None:
+            self._sim.cancel(query.deadline)
+            query.deadline = None
+        query.attempts += 1
+        # A re-attempt always follows an abort, so ``query.instance`` names
+        # the instance that failed it.
+        failed_from = query.instance
+        query.instance = instance.name
         if instance not in self._wired:
-            self._wire_instance(instance)
-            self._wired.add(instance)
-            if self._observer.enabled:
-                instance.engine.observe_with(self._observer, instance.name)
-        span = self._record_span.get(rid)
-        if failed_from is not None and instance.name != failed_from:
+            self._wire(instance)
+        span = query.span
+        if failed_from and instance.name != failed_from:
             self._failovers += 1
             if observer.enabled:
                 observer.failovers.labels(group=group).inc(time)
@@ -299,7 +326,7 @@ class GroupRuntime:
             observer.routing_decisions.labels(group=group, outcome=outcome).inc(time)
             if span is not None:
                 span.add_event(
-                    time, "route", instance=instance.name, outcome=outcome, attempt=attempt
+                    time, "route", instance=instance.name, outcome=outcome, attempt=query.attempts
                 )
         if instance is self._router.tuning_instance and instance.engine.busy and (
             tenant_id not in instance.active_tenants
@@ -312,7 +339,7 @@ class GroupRuntime:
                 concurrency=instance.engine.concurrency,
             )
             if observer.enabled:
-                observer.queries_overflow.labels(group=self._deployed.group_name).inc(time)
+                observer.queries_overflow.labels(group=group).inc(time)
         template = template_by_name(record.template)
         work = (
             template.dedicated_latency_s(spec.data_gb, instance.parallelism)
@@ -330,27 +357,11 @@ class GroupRuntime:
             )
             span.add_event(time, "execute")
         if execution.finished:
-            # Degenerate zero-work query: completion callback already ran
-            # (without a registered record), so settle the books here.
-            self._completed += 1
-            self._monitor.on_query_finish(tenant_id, time)
-            first = self._first_submit.pop(rid, time)
-            self._attempts.pop(rid, None)
-            self._failed_instance.pop(rid, None)
-            sla_record = SLARecord(
-                tenant_id=tenant_id,
-                group_name=self._deployed.group_name,
-                instance_name=instance.name,
-                template=record.template,
-                submit_time_s=record.submit_time_s,
-                baseline_latency_s=record.latency_s,
-                observed_latency_s=time - first,
-            )
-            self._sla_records.append(sla_record)
-            self._observe_completion(record, sla_record, time)
-            self._on_record_complete(record, time)
+            # Degenerate zero-work query: the completion callback already
+            # ran before the execution was registered in _inflight.
+            self._complete(query, time)
         else:
-            self._inflight[(instance.name, execution.query_id)] = record
+            self._inflight[execution] = query
 
     def _schedule_closed_loop(self, tenant_id: int, log: TenantLog, until: float) -> int:
         """Build per-user event chains and schedule each chain's first event."""
@@ -389,20 +400,20 @@ class GroupRuntime:
         base = event[0].submit_time_s
         chain.outstanding = len(event)
         for record in event:
-            self._record_chain[id(record)] = chain
             offset = record.submit_time_s - base
             if offset <= 0:
-                self._submit(chain.tenant_id, record, time)
+                self._submit(chain.tenant_id, record, time, chain)
             else:
                 self._sim.schedule(
                     time + offset,
-                    lambda t, _r=record, _c=chain: self._submit(_c.tenant_id, _r, t),
+                    lambda t, _r=record, _c=chain: self._submit(_c.tenant_id, _r, t, _c),
                     label="closed-loop-batch",
                 )
 
-    def _on_record_complete(self, record: QueryRecord, time: float) -> None:
-        """Advance the record's closed-loop chain, if any."""
-        chain = self._record_chain.pop(id(record), None)
+    def _retire(self, query: _Query, time: float) -> None:
+        """Drop a completed or failed query; advance its closed-loop chain."""
+        del self._live[query]
+        chain = query.chain
         if chain is None:
             return
         chain.outstanding -= 1
@@ -419,38 +430,33 @@ class GroupRuntime:
                 label="closed-loop-event",
             )
 
-    def _on_abort(self, execution: QueryExecution, instance: MPPDBInstance) -> None:
+    def _on_abort(self, execution: QueryExecution) -> None:
         """An instance failure killed this in-flight query; retry or fail.
 
         The monitor sees a finish (the query is no longer running), then
-        the record is either rescheduled with capped exponential backoff in
+        the query is either re-attempted with capped exponential backoff in
         sim-time or — after ``max_attempts`` submissions — surfaced as a
         typed :class:`~repro.core.fault.FaultRecord`.  Retried submissions
         do NOT increment ``queries_submitted``; the completion that
         eventually lands settles against the first submission's clock.
         """
-        key = (instance.name, execution.query_id)
-        record = self._inflight.pop(key, None)
-        if record is None:
+        query = self._inflight.pop(execution, None)
+        if query is None:
             return
         now = self._sim.now
-        rid = id(record)
-        self._monitor.on_query_finish(execution.tenant_id, now)
-        self._failed_instance[rid] = instance.name
-        attempt = self._attempts.get(rid, 1)
-        span = self._record_span.get(rid)
+        attempt = query.attempts
+        self._monitor.on_query_finish(query.tenant_id, now)
+        span = query.span
         if span is not None:
             span.add_event(
                 now,
                 "abort",
-                instance=instance.name,
+                instance=query.instance,
                 attempt=attempt,
                 remaining_s=round(execution.remaining_work_s, 6),
             )
         if attempt >= self._fault.max_attempts:
-            self._fail_record(
-                execution.tenant_id, record, now, REASON_RETRIES_EXHAUSTED
-            )
+            self._fail(query, now, REASON_RETRIES_EXHAUSTED)
             return
         delay = self._fault.backoff_s(attempt, self._fault_rng)
         self._retried += 1
@@ -459,15 +465,13 @@ class GroupRuntime:
         if span is not None:
             span.add_event(now, "retry", delay_s=round(delay, 6), attempt=attempt + 1)
         self._trace.record(
-            now, "query-retry", tenant=execution.tenant_id, attempt=attempt + 1, delay_s=delay
+            now, "query-retry", tenant=query.tenant_id, attempt=attempt + 1, delay_s=delay
         )
         self._sim.schedule_after(
-            delay,
-            lambda t, _tid=execution.tenant_id, _r=record: self._submit(_tid, _r, t),
-            label="query-retry",
+            delay, lambda t, _q=query: self._attempt(_q, t), label="query-retry"
         )
 
-    def _park(self, tenant_id: int, record: QueryRecord, time: float) -> None:
+    def _park(self, query: _Query, time: float) -> None:
         """Queue a query for which no healthy replica exists right now.
 
         Parked queries are resubmitted when the health manager reports an
@@ -475,50 +479,40 @@ class GroupRuntime:
         the query fails with ``deadline-exceeded`` (graceful degradation
         for ``R = 1`` groups: no crash, a typed failure).
         """
-        rid = id(record)
-        self._parked[rid] = (tenant_id, record)
-        span = self._record_span.get(rid)
-        if span is not None:
-            span.add_event(time, "park")
-        self._trace.record(time, "query-parked", tenant=tenant_id)
-        if rid not in self._park_deadline:
-            self._park_deadline[rid] = self._sim.schedule(
+        self._parked[query] = None
+        if query.span is not None:
+            query.span.add_event(time, "park")
+        self._trace.record(time, "query-parked", tenant=query.tenant_id)
+        if query.deadline is None:
+            query.deadline = self._sim.schedule(
                 time + self._fault.queue_deadline_s,
-                lambda t, _tid=tenant_id, _r=record: self._park_expired(_tid, _r, t),
+                lambda t, _q=query: self._park_expired(_q, t),
                 label="fault-deadline",
             )
 
-    def _park_expired(self, tenant_id: int, record: QueryRecord, time: float) -> None:
+    def _park_expired(self, query: _Query, time: float) -> None:
         """A parked query's deadline hit before any replica recovered."""
-        rid = id(record)
-        self._park_deadline.pop(rid, None)
-        if self._parked.pop(rid, None) is None:
-            return
-        self._fail_record(tenant_id, record, time, REASON_DEADLINE_EXCEEDED)
+        query.deadline = None
+        if query in self._parked:
+            del self._parked[query]
+            self._fail(query, time, REASON_DEADLINE_EXCEEDED)
 
     def _on_instance_recovered(self, instance: MPPDBInstance, time: float) -> None:
         """Health-manager recovery: drain the park queue through the router."""
-        if not self._parked:
-            return
-        pending = list(self._parked.items())
-        self._parked.clear()
-        for _rid, (tenant_id, record) in pending:
-            self._submit(tenant_id, record, time)
+        pending, self._parked = self._parked, {}
+        for query in pending:
+            self._attempt(query, time)
 
-    def _fail_record(
-        self, tenant_id: int, record: QueryRecord, time: float, reason: str
-    ) -> None:
+    def _fail(self, query: _Query, time: float, reason: str) -> None:
         """Surface a query that fault handling could not save."""
-        rid = id(record)
-        attempts = self._attempts.pop(rid, 0)
-        self._first_submit.pop(rid, None)
-        self._failed_instance.pop(rid, None)
+        tenant_id = query.tenant_id
+        attempts = query.attempts
         self._fault_records.append(
             FaultRecord(
                 tenant_id=tenant_id,
                 group_name=self._deployed.group_name,
-                template=record.template,
-                submit_time_s=record.submit_time_s,
+                template=query.record.template,
+                submit_time_s=query.record.submit_time_s,
                 failed_time_s=time,
                 reason=reason,
                 attempts=attempts,
@@ -533,13 +527,13 @@ class GroupRuntime:
             group = self._deployed.group_name
             observer.queries_failed.labels(group=group).inc(time)
             observer.sla_violations.labels(group=group).inc(time)
-        span = self._record_span.pop(rid, None)
+        span = query.span
         if span is not None:
             span.add_event(time, "failed", reason=reason, attempts=attempts)
             span.end(time, status="failed")
-        self._on_record_complete(record, time)
+        self._retire(query, time)
 
-    def _observe_completion(self, record: QueryRecord, sla_record: SLARecord, time: float) -> None:
+    def _observe_completion(self, query: _Query, sla_record: SLARecord, time: float) -> None:
         """Emit terminal-state metrics and close the query's span."""
         observer = self._observer
         if not observer.enabled:
@@ -551,7 +545,7 @@ class GroupRuntime:
         status = "complete" if sla_record.met else "violate"
         if status == "violate":
             observer.sla_violations.labels(group=group).inc(time)
-        span = self._record_span.pop(id(record), None)
+        span = query.span
         if span is not None:
             span.set_attr("observed_latency_s", sla_record.observed_latency_s)
             span.set_attr("normalized", round(sla_record.normalized, 9))
@@ -567,12 +561,11 @@ class GroupRuntime:
         Idempotent; called by :meth:`run` and by the service after a
         bounded ``Simulator.run``.
         """
-        if not self._record_span:
-            return
-        for span in self._record_span.values():
-            span.add_event(time, STATUS_INFLIGHT)
-            span.end(time, status=STATUS_INFLIGHT)
-        self._record_span.clear()
+        for query in self._live:
+            if query.span is not None:
+                query.span.add_event(time, STATUS_INFLIGHT)
+                query.span.end(time, status=STATUS_INFLIGHT)
+                query.span = None
 
     def _periodic_check(self, time: float) -> None:
         rt_ttp = self._monitor.rt_ttp(time, self._scaling.window_s)
@@ -611,11 +604,11 @@ class GroupRuntime:
             for record in log.records:
                 if record.submit_time_s >= until:
                     continue
-
-                def _cb(time: float, _tenant: int = tenant_id, _record: QueryRecord = record) -> None:
-                    self._submit(_tenant, _record, time)
-
-                self._sim.schedule(record.submit_time_s, _cb, label="query-submit")
+                self._sim.schedule(
+                    record.submit_time_s,
+                    lambda t, _tid=tenant_id, _r=record: self._submit(_tid, _r, t),
+                    label="query-submit",
+                )
                 count += 1
         self._submitted = count
 
@@ -653,4 +646,5 @@ class GroupRuntime:
             queries_failed=self._failed_count,
             failovers=self._failovers,
             fault_records=list(self._fault_records),
+            queries_pending=len(self._live),
         )

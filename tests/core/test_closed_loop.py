@@ -171,6 +171,27 @@ class TestBatchSemantics:
         assert len(batch_records) == 3
         assert report.sla.fraction_met == 1.0
 
+    def test_record_listed_twice_is_two_queries(self):
+        # QueryRecord is frozen and TenantLog does not copy, so a log may
+        # list one record object twice: each listing is its own query, and
+        # the batch's completion still releases the follow-up.
+        sim, provisioner, deployed, tenants = _deploy()
+        q = _baseline()
+        record = QueryRecord(
+            submit_time_s=100.0, latency_s=2 * q, template="tpch.q1", batch_id=7
+        )
+        batch = [record, record]
+        follow_up = QueryRecord(
+            submit_time_s=100.0 + 2 * q + 40.0, latency_s=q, template="tpch.q1"
+        )
+        logs = {
+            spec.tenant_id: TenantLog(spec, batch + [follow_up] if spec.tenant_id == 1 else [])
+            for spec in tenants
+        }
+        report, __ = _run(logs, tenants, sim, provisioner, deployed, closed_loop=True)
+        assert report.queries_submitted == 3
+        assert report.queries_completed == 3
+
     def test_until_bound_respected(self):
         sim, provisioner, deployed, tenants = _deploy()
         q = _baseline()

@@ -9,6 +9,8 @@ from repro.core.scaling import LightweightScaling
 from repro.core.tdd import design_for_group
 from repro.errors import DeploymentError
 from repro.mppdb.provisioning import Provisioner
+from repro.obs.observer import Observer
+from repro.obs.sink import MemorySink
 from repro.simulation.engine import Simulator
 from repro.workload.logs import QueryRecord, TenantLog
 from repro.workload.queries import template_by_name
@@ -118,6 +120,26 @@ class TestReplayBasics:
         assert report.overflow_queries == 0
 
 
+    def test_record_listed_twice_gets_two_spans(self):
+        # One record object listed twice is two queries, each with its own
+        # lifecycle span, not one query and a phantom retry.
+        sim, provisioner, deployed, tenants = _deploy()
+        record = QueryRecord(submit_time_s=50.0, latency_s=_q1_latency(2), template="tpch.q1")
+        logs = {
+            t.tenant_id: TenantLog(t, [record, record] if t.tenant_id == 1 else [])
+            for t in tenants
+        }
+        sink = MemorySink()
+        runtime = GroupRuntime(
+            deployed, logs, sim, provisioner, sla_fraction=0.999, observer=Observer(sink)
+        )
+        report = runtime.run(until=5_000.0)
+        assert report.queries_completed == 2
+        spans = sink.spans_of("query")
+        assert len(spans) == 2
+        assert all(s.status in ("complete", "violate") for s in spans)
+
+
 class TestMonitoringDuringReplay:
     def test_rt_ttp_sampled(self):
         sim, provisioner, deployed, tenants = _deploy()
@@ -183,6 +205,17 @@ class TestValidation:
         runtime.schedule(until=100.0)
         with pytest.raises(DeploymentError):
             runtime.schedule(until=100.0)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_monitor_interval_rejected(self, interval):
+        # A non-finite interval would silently switch monitoring and
+        # elastic scaling off (no RT-TTP sample is ever taken).
+        sim, provisioner, deployed, tenants = _deploy()
+        logs = {t.tenant_id: _log(t, []) for t in tenants}
+        with pytest.raises(DeploymentError, match="monitor_interval_s"):
+            GroupRuntime(
+                deployed, logs, sim, provisioner, sla_fraction=0.999, monitor_interval_s=interval
+            )
 
     def test_bad_sla_fraction_rejected(self):
         sim, provisioner, deployed, tenants = _deploy()

@@ -48,20 +48,17 @@ def _kill_first_busy_instance(service, injector, killed, probe_interval_s=60.0):
     service.simulator.schedule(1 * HOUR, _probe, label="kill-probe")
 
 
-def _books_balance(service, report):
-    """submitted == completed + failed + still-parked + still-inflight."""
+def _books_balance(report):
+    """submitted == completed + failed + pending (in flight, parked or in backoff)."""
     for name, group_report in report.group_reports.items():
-        runtime = service._runtimes[name]
         assert group_report.queries_submitted == (
             group_report.queries_completed
             + group_report.queries_failed
-            + len(runtime._parked)
-            + len(runtime._inflight)
+            + group_report.queries_pending
         ), f"group {name} books do not balance"
 
 
-@pytest.fixture(scope="module")
-def failover_run():
+def _failover_replay(until):
     """Replicated deployment with a node failure injected mid-query."""
     config = tiny_config(num_tenants=24, seed=13)
     assert config.replication_factor >= 2
@@ -72,8 +69,13 @@ def failover_run():
     service.health.watch(injector)
     killed = {}
     _kill_first_busy_instance(service, injector, killed)
-    report = service.replay(until=1 * DAY)
+    report = service.replay(until=until)
     return service, report, killed
+
+
+@pytest.fixture(scope="module")
+def failover_run():
+    return _failover_replay(1 * DAY)
 
 
 class TestFailover:
@@ -98,10 +100,20 @@ class TestFailover:
         assert instance.impaired_node_count == 0
 
     def test_every_query_is_accounted_for(self, failover_run):
-        service, report, __ = failover_run
-        _books_balance(service, report)
+        __, report, __ = failover_run
+        _books_balance(report)
         # Nothing exhausted its retries: replication hid the failure.
         assert all(not r.fault_records for r in report.group_reports.values())
+
+    def test_books_balance_mid_backoff(self, failover_run):
+        # Cut the same replay 0.5 s after the kill, inside the 1 s first
+        # retry backoff: the aborted queries are neither in flight nor
+        # parked, yet still pending.
+        __, __, killed = failover_run
+        __, report, cut = _failover_replay(killed["time"] + 0.5)
+        assert cut == killed
+        assert sum(r.queries_retried for r in report.group_reports.values()) >= 1
+        _books_balance(report)
 
     def test_sla_survives_the_failure(self, failover_run):
         __, report, __ = failover_run
@@ -140,8 +152,8 @@ class TestGracefulDegradation:
         assert all(r.reason == REASON_DEADLINE_EXCEEDED for r in records)
 
     def test_books_balance_under_degradation(self, degraded_run):
-        service, report, __ = degraded_run
-        _books_balance(service, report)
+        __, report, __ = degraded_run
+        _books_balance(report)
         assert sum(r.queries_failed for r in report.group_reports.values()) == len(
             [rec for r in report.group_reports.values() for rec in r.fault_records]
         )
@@ -168,7 +180,7 @@ class TestChaosHarness:
         service, scheduled, report = self._chaos_run()
         assert scheduled >= 1
         assert service.health.node_failures_handled >= 1
-        _books_balance(service, report)
+        _books_balance(report)
 
     def test_arm_twice_rejected(self):
         config = tiny_config(num_tenants=12, seed=13)
