@@ -139,16 +139,20 @@ def test_fig7_7_lightweight_elastic_scaling(scale):
         )
     )
 
-    # The §7.5 excerpt, straight from the recorded trace: every scaling
-    # entry inside the takeover window, in time order.
-    excerpt = enabled_report.trace.filter(
-        kind="elastic-scaling", start=_TAKEOVER_START, end=_HORIZON
-    )
-    print("Trace excerpt (elastic-scaling entries):")
-    for entry in excerpt:
-        print(f"  {entry}")
-    assert len(excerpt) == len(actions)
-    assert [e.details["policy"] for e in excerpt] == [a.kind for a in actions]
+    # The §7.5 excerpt: every scaling action inside the takeover window,
+    # joined with the RT-TTP the monitor sampled at its trigger tick.
+    rt_ttp_at = dict(enabled_report.rt_ttp_samples)
+    excerpt = [a for a in actions if _TAKEOVER_START <= a.time < _HORIZON]
+    print("Excerpt (elastic-scaling actions):")
+    for a in excerpt:
+        print(
+            f"  [{a.time:12.2f}] elastic-scaling group={a.group_name} policy={a.kind} "
+            f"over_active={a.over_active} ready={a.expected_ready_time:.1f} "
+            f"rt_ttp={rt_ttp_at[a.time]:.5f}"
+        )
+    assert excerpt == actions
+    # Each action fired because its sampled RT-TTP was below P.
+    assert all(rt_ttp_at[a.time] < 0.999 for a in actions)
 
     # Panels a/b: without scaling the RT-TTP dives below P and stays low.
     assert disabled_report.scaling_actions == []

@@ -368,19 +368,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             f"over_active={attrs.get('over_active', [])}"
         )
 
-    profile = report.summary.get("profile", {})
-    if profile:
-        print()
-        print(
-            format_table(
-                ["site", "calls", "wall_s"],
-                [
-                    [name, int(entry.get("calls", 0)), f"{entry.get('wall_s', 0.0):.4f}"]
-                    for name, entry in sorted(profile.items())
-                ],
-                title="Profile (wall clock)",
-            )
-        )
     return 0
 
 

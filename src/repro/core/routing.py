@@ -23,7 +23,6 @@ from typing import Sequence
 
 from ..errors import NoHealthyInstanceError, RoutingError
 from ..mppdb.instance import InstanceState, MPPDBInstance
-from ..obs.profiling import profiled
 from ..rng import RngFactory
 
 __all__ = [
@@ -84,7 +83,6 @@ class QueryRouter(abc.ABC):
         """Current pin map (copy)."""
         return dict(self._pinned)
 
-    @profiled("core.routing.route")
     def route(self, tenant_id: int) -> MPPDBInstance:
         """Choose the instance a new query of ``tenant_id`` should run on.
 
@@ -189,7 +187,9 @@ def classify_decision(
     Must be called *before* the query is submitted (the checks read the
     pre-submit busy/active state the router itself saw).  Outcomes:
     ``pinned``, ``tenant-affinity``, ``tuning-free``, ``free`` and
-    ``overflow`` (the all-busy fall-through onto ``MPPDB_0``).
+    ``overflow``: the all-busy fall-through onto ``MPPDB_0``, or onto the
+    first ready replica while ``MPPDB_0`` is unavailable.  The runtime's
+    ``overflow_queries`` counts exactly the ``overflow`` outcomes.
     """
     if router.pinned_tenants.get(tenant_id) is instance:
         return "pinned"

@@ -38,7 +38,6 @@ from ..obs.observer import NULL_OBSERVER, Observer
 from ..obs.tracing import STATUS_INFLIGHT, Span
 from ..simulation.engine import Simulator
 from ..simulation.events import ScheduledEvent
-from ..simulation.trace import TraceRecorder
 from ..units import MINUTE
 from ..workload.logs import QueryRecord, TenantLog
 from ..workload.queries import template_by_name
@@ -131,8 +130,10 @@ class RuntimeReport:
     scaling_actions: list[ScalingAction]
     queries_submitted: int
     queries_completed: int
+    #: Routes classified ``overflow`` by :func:`~repro.core.routing.classify_decision`:
+    #: onto a busy ``MPPDB_0``, or onto the first ready replica while
+    #: ``MPPDB_0`` is unavailable.
     overflow_queries: int
-    trace: TraceRecorder = field(repr=False, default_factory=TraceRecorder)
     queries_retried: int = 0
     queries_failed: int = 0
     failovers: int = 0
@@ -161,7 +162,6 @@ class GroupRuntime:
         router: Optional[QueryRouter] = None,
         scaling: Optional[ScalingPolicy] = None,
         monitor_interval_s: float = 10 * MINUTE,
-        trace: Optional[TraceRecorder] = None,
         closed_loop: bool = False,
         observer: Optional[Observer] = None,
         fault: Optional[RetryPolicy] = None,
@@ -188,7 +188,6 @@ class GroupRuntime:
         self._router = router if router is not None else TDDRouter(deployed.instances)
         self._scaling = scaling if scaling is not None else DisabledScaling()
         self._interval = monitor_interval_s
-        self._trace = trace if trace is not None else TraceRecorder()
         self._sla_records: list[SLARecord] = []
         self._rt_ttp_samples: list[tuple[float, float]] = []
         self._submitted = 0
@@ -320,26 +319,18 @@ class GroupRuntime:
                 span.add_event(
                     time, "failover", failed=failed_from, survivor=instance.name
                 )
+        # Classify against the pre-submit state the router saw.
+        outcome = classify_decision(self._router, tenant_id, instance)
+        if outcome == "overflow":
+            self._overflow += 1
         if observer.enabled:
-            # Classify and trace against the pre-submit state the router saw.
-            outcome = classify_decision(self._router, tenant_id, instance)
             observer.routing_decisions.labels(group=group, outcome=outcome).inc(time)
+            if outcome == "overflow":
+                observer.queries_overflow.labels(group=group).inc(time)
             if span is not None:
                 span.add_event(
                     time, "route", instance=instance.name, outcome=outcome, attempt=query.attempts
                 )
-        if instance is self._router.tuning_instance and instance.engine.busy and (
-            tenant_id not in instance.active_tenants
-        ):
-            self._overflow += 1
-            self._trace.record(
-                time,
-                "overflow-to-tuning",
-                tenant=tenant_id,
-                concurrency=instance.engine.concurrency,
-            )
-            if observer.enabled:
-                observer.queries_overflow.labels(group=group).inc(time)
         template = template_by_name(record.template)
         work = (
             template.dedicated_latency_s(spec.data_gb, instance.parallelism)
@@ -464,9 +455,6 @@ class GroupRuntime:
             self._observer.query_retries.labels(group=self._deployed.group_name).inc(now)
         if span is not None:
             span.add_event(now, "retry", delay_s=round(delay, 6), attempt=attempt + 1)
-        self._trace.record(
-            now, "query-retry", tenant=query.tenant_id, attempt=attempt + 1, delay_s=delay
-        )
         self._sim.schedule_after(
             delay, lambda t, _q=query: self._attempt(_q, t), label="query-retry"
         )
@@ -482,7 +470,6 @@ class GroupRuntime:
         self._parked[query] = None
         if query.span is not None:
             query.span.add_event(time, "park")
-        self._trace.record(time, "query-parked", tenant=query.tenant_id)
         if query.deadline is None:
             query.deadline = self._sim.schedule(
                 time + self._fault.queue_deadline_s,
@@ -519,9 +506,6 @@ class GroupRuntime:
             )
         )
         self._failed_count += 1
-        self._trace.record(
-            time, "query-failed", tenant=tenant_id, reason=reason, attempts=attempts
-        )
         observer = self._observer
         if observer.enabled:
             group = self._deployed.group_name
@@ -579,7 +563,6 @@ class GroupRuntime:
             self._router,
             self._provisioner,
             self._sla_fraction,
-            trace=self._trace,
             observer=self._observer,
         )
 
@@ -641,7 +624,6 @@ class GroupRuntime:
             queries_submitted=self._submitted,
             queries_completed=self._completed,
             overflow_queries=self._overflow,
-            trace=self._trace,
             queries_retried=self._retried,
             queries_failed=self._failed_count,
             failovers=self._failovers,

@@ -10,8 +10,6 @@ measurement plane:
 * **Tracing** — spans over the query/tenant lifecycle (``submit → route
   → admit → execute → complete``/``violate``), plus scaling and
   reconsolidation spans, with deterministic ids (:mod:`repro.obs.tracing`).
-* **Profiling** — wall-clock timers and call counters around the packing
-  solvers and the routing hot path (:mod:`repro.obs.profiling`).
 * **Sinks** — pluggable destinations; the default :data:`NULL_SINK`
   makes every instrumentation site a single branch
   (:mod:`repro.obs.sink`).
@@ -29,15 +27,12 @@ Minimal session::
     service.replay(until=DAY)
     write_run_report("out/", observer, horizon=DAY)
 
-The original :class:`~repro.simulation.trace.TraceRecorder` is subsumed
-by the sink API but kept as a compatibility shim: it is re-exported here,
-and :class:`TraceRecorderSink` adapts it to the sink interface.
+Wall-clock timing of the library's layers lives outside the package, in
+``perfbench/run.py --trace 1``.
 """
 
-from ..simulation.trace import TraceEntry, TraceRecorder
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observer import NULL_OBSERVER, Observer
-from .profiling import PROFILER, ProfileRegistry, profiled
 from .report import RunReport, build_summary, load_run_report, write_run_report
 from .sink import (
     MemorySink,
@@ -48,8 +43,6 @@ from .sink import (
     ObsSink,
     SpanEvent,
     SpanRecord,
-    TeeSink,
-    TraceRecorderSink,
 )
 from .tracing import STATUS_INFLIGHT, Span, Tracer
 
@@ -60,9 +53,6 @@ __all__ = [
     "MetricsRegistry",
     "Observer",
     "NULL_OBSERVER",
-    "PROFILER",
-    "ProfileRegistry",
-    "profiled",
     "RunReport",
     "build_summary",
     "load_run_report",
@@ -75,11 +65,7 @@ __all__ = [
     "ObsSink",
     "SpanEvent",
     "SpanRecord",
-    "TeeSink",
-    "TraceRecorderSink",
     "Span",
     "STATUS_INFLIGHT",
     "Tracer",
-    "TraceEntry",
-    "TraceRecorder",
 ]

@@ -22,25 +22,19 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import PROFILER, ProfileRegistry
-from .sink import MemorySink, NULL_SINK, ObsEvent, ObsSink, TeeSink, attrs_tuple
+from .sink import MemorySink, NULL_SINK, ObsEvent, ObsSink, attrs_tuple
 from .tracing import Tracer
 
 __all__ = ["Observer", "NULL_OBSERVER"]
 
 
 class Observer:
-    """Bundles a sink, a metrics registry, a tracer and the profiler."""
+    """Bundles a sink, a metrics registry and a tracer."""
 
-    def __init__(
-        self,
-        sink: Optional[ObsSink] = None,
-        profiler: Optional[ProfileRegistry] = None,
-    ) -> None:
+    def __init__(self, sink: Optional[ObsSink] = None) -> None:
         self.sink: ObsSink = sink if sink is not None else NULL_SINK
         self.metrics = MetricsRegistry(self.sink)
         self.tracer = Tracer(self.sink)
-        self.profiler: ProfileRegistry = profiler if profiler is not None else PROFILER
 
         m = self.metrics
         #: Queries scheduled into the replay, per tenant group.
@@ -51,10 +45,12 @@ class Observer:
         self.queries_completed: Counter = m.counter(
             "thrifty_queries_completed_total", "queries completed by the group", ("group",)
         )
-        #: Queries concurrently admitted onto a busy tuning MPPDB.
+        #: Routes with outcome ``overflow``: a busy MPPDB_0, or the first
+        #: ready replica while MPPDB_0 is unavailable.
         self.queries_overflow: Counter = m.counter(
             "thrifty_queries_overflow_total",
-            "queries overflowed onto a busy MPPDB_0",
+            "queries overflowed onto a busy MPPDB_0, or onto the first ready "
+            "replica while MPPDB_0 is unavailable",
             ("group",),
         )
         #: Completed queries that missed their before-consolidation latency.
@@ -140,20 +136,13 @@ class Observer:
         return self.sink.enabled
 
     def event(self, time: float, kind: str, **attrs: object) -> None:
-        """Emit a one-shot event (the TraceRecorder record shape)."""
+        """Emit a one-shot :class:`~repro.obs.sink.ObsEvent` to the sink."""
         if self.sink.enabled:
             self.sink.on_event(ObsEvent(time=time, kind=kind, attrs=attrs_tuple(attrs)))
 
     def memory_sink(self) -> Optional[MemorySink]:
-        """The first :class:`MemorySink` behind this observer, if any."""
-        sink = self.sink
-        if isinstance(sink, MemorySink):
-            return sink
-        if isinstance(sink, TeeSink):
-            for child in sink.sinks:
-                if isinstance(child, MemorySink):
-                    return child
-        return None
+        """The observer's sink if it is a :class:`MemorySink`, else ``None``."""
+        return self.sink if isinstance(self.sink, MemorySink) else None
 
 
 #: Shared do-nothing observer used as the default everywhere.

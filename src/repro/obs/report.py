@@ -4,7 +4,7 @@
 MemorySink` collected during a replay into a directory, plus a digested
 ``summary.json`` (RT-TTP trajectories, time-weighted concurrency
 histograms, routing-decision counts, SLA violations, scaling actions,
-profiler readings).  The summary is built *only* from the sink contents,
+fault counters).  The summary is built *only* from the sink contents,
 so any replay instrumented through an :class:`~repro.obs.observer.
 Observer` — CLI, tests, notebooks — exports the same way.
 
@@ -83,7 +83,6 @@ def _time_weighted_histogram(
 
 def build_summary(
     sink: MemorySink,
-    observer: Optional[Observer] = None,
     horizon: Optional[float] = None,
     simulator_events: Optional[Mapping[str, int]] = None,
     meta: Optional[Mapping[str, object]] = None,
@@ -139,7 +138,7 @@ def build_summary(
         if span.kind == "query":
             query_spans += 1
 
-    summary: dict[str, Any] = {
+    return {
         "meta": dict(meta or {}),
         "queries": {
             "submitted": sum(submitted.values()),
@@ -165,12 +164,6 @@ def build_summary(
             "degraded_seconds_by_instance": dict(sorted(degraded.items())),
         },
     }
-    profiler = observer.profiler if observer is not None else None
-    if profiler is not None:
-        summary["profile"] = {
-            name: entry.as_dict() for name, entry in profiler.snapshot().items()
-        }
-    return summary
 
 
 def write_run_report(
@@ -182,8 +175,8 @@ def write_run_report(
 ) -> RunReportPaths:
     """Write metrics.jsonl, spans.jsonl and summary.json under ``out_dir``.
 
-    The observer must be backed (directly or through a tee) by a
-    :class:`MemorySink`; the null sink has nothing to export.
+    The observer must be backed by a :class:`MemorySink`; the null sink
+    has nothing to export.
     """
     sink = observer.memory_sink()
     if sink is None:
@@ -197,7 +190,6 @@ def write_run_report(
     spans_path = sink.write_spans_jsonl(directory / SPANS_FILENAME)
     summary = build_summary(
         sink,
-        observer=observer,
         horizon=horizon,
         simulator_events=simulator_events,
         meta=meta,
@@ -245,25 +237,41 @@ class RunReport:
         return [row for row in self.metrics if row.get("metric") == name]
 
 
+def _read_object(text: str, where: str) -> dict[str, Any]:
+    """Parse one JSON object; anything else is a corrupt report."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ObservabilityError(f"{where}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(value, dict):
+        raise ObservabilityError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _read_jsonl(path: Path) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
     if not path.exists():
         return rows
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                rows.append(_read_object(line, f"{path} line {number}"))
     return rows
 
 
 def load_run_report(directory: Union[str, Path]) -> RunReport:
-    """Read a run report directory written by :func:`write_run_report`."""
+    """Read a run report directory written by :func:`write_run_report`.
+
+    A missing ``summary.json`` or a file that is not the JSON this module
+    writes raises :class:`~repro.errors.ObservabilityError` naming the
+    file (and the line, for JSONL).
+    """
     base = Path(directory)
     summary_path = base / SUMMARY_FILENAME
     if not summary_path.exists():
         raise ObservabilityError(f"no {SUMMARY_FILENAME} under {base}")
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary = _read_object(summary_path.read_text(encoding="utf-8"), str(summary_path))
     return RunReport(
         directory=base,
         summary=summary,

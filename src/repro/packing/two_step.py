@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..obs.profiling import profiled
 from ..workload.activity import ActivityItem
 from .livbp import TTP_TOL, GroupingSolution, LIVBPwFCProblem
 
@@ -123,7 +122,6 @@ def pack_initial_group(
     return groups
 
 
-@profiled("packing.two_step_grouping")
 def two_step_grouping(
     problem: LIVBPwFCProblem, runner: "Optional[ProcessPoolRunner]" = None
 ) -> GroupingSolution:

@@ -3,16 +3,14 @@
 A minimal but complete event-driven simulator used by the MPPDB execution
 model and the Thrifty runtime replay: a priority event queue
 (:mod:`~repro.simulation.events`), a monotonic clock, an engine with
-scheduling and interruption (:mod:`~repro.simulation.engine`), trace
-recording (:mod:`~repro.simulation.trace`) and time-series metrics
-(:mod:`~repro.simulation.metrics`).
+scheduling and interruption (:mod:`~repro.simulation.engine`) and
+piecewise-constant time series (:mod:`~repro.simulation.metrics`).
 """
 
 from .clock import Clock
 from .engine import Simulator
 from .events import Event, EventQueue, ScheduledEvent
-from .metrics import StepSeries, TimeSeries
-from .trace import TraceEntry, TraceRecorder
+from .metrics import StepSeries
 
 __all__ = [
     "Clock",
@@ -20,8 +18,5 @@ __all__ = [
     "Event",
     "EventQueue",
     "ScheduledEvent",
-    "TimeSeries",
     "StepSeries",
-    "TraceEntry",
-    "TraceRecorder",
 ]

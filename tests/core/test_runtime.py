@@ -95,6 +95,30 @@ class TestReplayBasics:
         for violation in violations:
             assert violation.normalized == pytest.approx(2.0)
 
+    def test_overflow_onto_replica_while_tuning_is_down(self):
+        # With MPPDB_0 out of service, Algorithm 1's all-busy fall-through
+        # lands on the first ready replica: that route is an overflow too,
+        # counted the same way by the report, the counter and the route span.
+        sim, provisioner, deployed, tenants = _deploy(num_tenants=2, num_instances=2)
+        deployed.instances[0].mark_down()
+        logs = {t.tenant_id: _log(t, [100.0]) for t in tenants}
+        sink = MemorySink()
+        runtime = GroupRuntime(
+            deployed, logs, sim, provisioner, sla_fraction=0.999, observer=Observer(sink)
+        )
+        report = runtime.run(until=100_000.0)
+        assert report.queries_completed == 2
+        assert report.overflow_queries == 1
+        (counter,) = sink.metric_samples("thrifty_queries_overflow_total")
+        assert counter.value == 1
+        outcomes = [
+            dict(event.attrs)["outcome"]
+            for span in sink.spans_of("query")
+            for event in span.events
+            if event.name == "route"
+        ]
+        assert sorted(outcomes) == ["free", "overflow"]
+
     def test_oversized_tuning_instance_absorbs_overflow(self):
         # Chapter 6: with U = 2 n, two concurrent linear queries on
         # MPPDB_0 still meet the SLA (point C of Figure 1.1b).

@@ -49,7 +49,6 @@ class TestBuildSummary:
         _simulate_small_run(observer)
         summary = build_summary(
             observer.memory_sink(),
-            observer=observer,
             horizon=10.0,
             simulator_events={"query-submit": 3},
             meta={"command": "test"},
@@ -124,11 +123,19 @@ class TestWriteAndLoad:
         with pytest.raises(ObservabilityError):
             load_run_report(tmp_path / "nope")
 
-    def test_profile_section_present_when_captured(self, observer, tmp_path):
+    @pytest.mark.parametrize(
+        "filename, text, where",
+        [
+            ("summary.json", '{"queries": {"submitted"', "summary.json"),
+            ("summary.json", "[1, 2]", "summary.json"),
+            ("metrics.jsonl", '{"metric": "m"}\n{"metric": ', "metrics.jsonl line 2"),
+            ("spans.jsonl", '"a span"\n', "spans.jsonl line 1"),
+        ],
+        ids=["truncated-summary", "non-object-summary", "bad-metrics-line", "non-object-span"],
+    )
+    def test_corrupt_report_rejected(self, observer, tmp_path, filename, text, where):
         _simulate_small_run(observer)
-        with observer.profiler.capture():
-            observer.profiler.record("packing.two_step_grouping", 0.25)
-        paths = write_run_report(tmp_path, observer)
-        summary = json.loads(paths.summary.read_text())
-        assert summary["profile"]["packing.two_step_grouping"]["calls"] == 1.0
-        observer.profiler.reset()
+        write_run_report(tmp_path, observer, horizon=10.0)
+        (tmp_path / filename).write_text(text, encoding="utf-8")
+        with pytest.raises(ObservabilityError, match=where):
+            load_run_report(tmp_path)

@@ -7,12 +7,15 @@ provisioned, and the books balance; with a single replica the group
 degrades gracefully into typed deadline failures instead of crashing.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster.failures import FailureInjector
 from repro.core.fault import REASON_DEADLINE_EXCEEDED, RetryPolicy
 from repro.core.service import ThriftyService
 from repro.errors import DeploymentError
+from repro.obs import MemorySink, Observer
 from repro.rng import RngFactory
 from repro.units import DAY, HOUR
 from repro.workload.composer import MultiTenantLogComposer
@@ -58,11 +61,21 @@ def _books_balance(report):
         ), f"group {name} books do not balance"
 
 
+def _span_events(service, name):
+    """``(tenant, attrs)`` of every query-span event called ``name``."""
+    return [
+        (dict(span.attrs)["tenant"], dict(event.attrs))
+        for span in service.observer.memory_sink().spans_of("query")
+        for event in span.events
+        if event.name == name
+    ]
+
+
 def _failover_replay(until):
     """Replicated deployment with a node failure injected mid-query."""
     config = tiny_config(num_tenants=24, seed=13)
     assert config.replication_factor >= 2
-    __, service = _build_service(config)
+    __, service = _build_service(config, observer=Observer(MemorySink()))
     injector = FailureInjector(
         service.pool, service.simulator, 1e12, RngFactory(5).stream("chaos", "kill")
     )
@@ -119,13 +132,26 @@ class TestFailover:
         __, report, __ = failover_run
         assert report.sla.fraction_met > 0.9
 
+    def test_span_events_carry_retries_failovers_and_overflow(self, failover_run):
+        service, report, __ = failover_run
+        groups = report.group_reports.values()
+        assert len(_span_events(service, "retry")) == sum(r.queries_retried for r in groups)
+        assert len(_span_events(service, "failover")) == sum(r.failovers for r in groups)
+        # One definition of overflow: the runtime counts exactly the routes
+        # classified "overflow", including those made while MPPDB_0 is down.
+        overflow = [
+            attrs for __, attrs in _span_events(service, "route")
+            if attrs["outcome"] == "overflow"
+        ]
+        assert len(overflow) == sum(r.overflow_queries for r in groups)
+
 
 @pytest.fixture(scope="module")
 def degraded_run():
     """Single-replica deployment: failure parks queries until a deadline."""
     config = tiny_config(num_tenants=24, seed=13, replication_factor=1)
     __, service = _build_service(
-        config, fault=RetryPolicy(queue_deadline_s=600.0)
+        config, fault=RetryPolicy(queue_deadline_s=600.0), observer=Observer(MemorySink())
     )
     injector = FailureInjector(
         service.pool, service.simulator, 1e12, RngFactory(5).stream("chaos", "kill")
@@ -157,6 +183,19 @@ class TestGracefulDegradation:
         assert sum(r.queries_failed for r in report.group_reports.values()) == len(
             [rec for r in report.group_reports.values() for rec in r.fault_records]
         )
+
+    def test_span_events_carry_parks_and_failures(self, degraded_run):
+        service, report, __ = degraded_run
+        failed = Counter(
+            (tenant, attrs["reason"]) for tenant, attrs in _span_events(service, "failed")
+        )
+        records = Counter(
+            (rec.tenant_id, rec.reason)
+            for r in report.group_reports.values()
+            for rec in r.fault_records
+        )
+        assert failed == records
+        assert len(_span_events(service, "park")) >= sum(records.values())
 
 
 class TestChaosHarness:

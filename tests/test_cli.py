@@ -107,6 +107,13 @@ class TestCommands:
         assert main(["obs", str(tmp_path), *options]) == 2
         assert message in capsys.readouterr().err
 
+    def test_obs_on_corrupt_report_exits_2(self, capsys, tmp_path):
+        (tmp_path / "summary.json").write_text('{"groups": {"tg0": ')
+        assert main(["obs", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "summary.json" in err
+
     @pytest.mark.parametrize(
         "parameter, value",
         [
