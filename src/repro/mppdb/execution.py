@@ -95,7 +95,6 @@ class ExecutionEngine:
         self._completion_handle: Optional[ScheduledEvent] = None
         self._on_complete: list[CompletionCallback] = []
         self._on_abort: list[CompletionCallback] = []
-        self._completed: list[QueryExecution] = []
         self._observer: Optional["Observer"] = None
         self._instance_name = ""
 
@@ -123,11 +122,6 @@ class ExecutionEngine:
     def running(self) -> list[QueryExecution]:
         """Currently running queries (copy)."""
         return list(self._running.values())
-
-    @property
-    def completed(self) -> list[QueryExecution]:
-        """All finished queries, in completion order (copy)."""
-        return list(self._completed)
 
     def on_complete(self, callback: CompletionCallback) -> None:
         """Register a callback fired for every query completion."""
@@ -190,7 +184,6 @@ class ExecutionEngine:
             # Degenerate instantaneous query: complete immediately without
             # perturbing the processor-sharing state.
             execution.finish_time = self._sim.now
-            self._completed.append(execution)
             for callback in self._on_complete:
                 callback(execution)
             return execution
@@ -231,7 +224,6 @@ class ExecutionEngine:
             del self._running[q.query_id]
             q._remaining = 0.0
             q.finish_time = time
-            self._completed.append(q)
         self._completion_handle = None
         self._reschedule()
         for q in sorted(due, key=lambda q: q.query_id):

@@ -8,6 +8,8 @@ to it without also being able to advance time.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import SimulationError
 
 __all__ = ["Clock"]
@@ -17,8 +19,8 @@ class Clock:
     """Monotonically non-decreasing simulated time, in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError(f"clock cannot start at negative time {start!r}")
+        if not (0 <= start < math.inf):
+            raise SimulationError(f"clock must start at a finite, non-negative time, got {start!r}")
         self._now = float(start)
 
     @property
@@ -27,7 +29,9 @@ class Clock:
         return self._now
 
     def advance_to(self, t: float) -> None:
-        """Move the clock forward to ``t`` (no-op when already there)."""
+        """Move the clock forward to finite ``t`` (no-op when already there)."""
+        if not math.isfinite(t):
+            raise SimulationError(f"clock time must be finite, got {t!r}")
         if t < self._now:
             raise SimulationError(f"time cannot move backwards: {t!r} < {self._now!r}")
         self._now = float(t)

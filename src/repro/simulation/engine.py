@@ -13,6 +13,7 @@ events (a query's completion moves when the concurrency level changes), so
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional
 
 from ..errors import SimulationError
@@ -71,8 +72,11 @@ class Simulator:
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``time``.
 
-        Returns a handle that can be passed to :meth:`cancel`.
+        Returns a handle that can be passed to :meth:`cancel`.  A NaN or
+        infinite ``time`` raises :class:`~repro.errors.SimulationError`.
         """
+        if not math.isfinite(time):
+            raise SimulationError(f"event time must be finite, got {time!r}")
         if time < self.clock.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is before the current time {self.clock.now!r}"
@@ -86,9 +90,9 @@ class Simulator:
         label: str = "",
         payload: Any = None,
     ) -> ScheduledEvent:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay!r}")
+        """Schedule ``callback`` ``delay`` seconds from now (finite, non-negative)."""
+        if not (0 <= delay < math.inf):
+            raise SimulationError(f"delay must be finite and non-negative, got {delay!r}")
         return self.schedule(self.clock.now + delay, callback, label=label, payload=payload)
 
     def cancel(self, handle: ScheduledEvent) -> None:

@@ -1,17 +1,22 @@
 """Event primitives for the discrete-event engine.
 
-Events carry a fire time, an insertion-order sequence number (ties are
-broken FIFO so the simulation is deterministic), a callback, and an optional
-payload.  :class:`EventQueue` is a thin heap wrapper that supports lazy
-cancellation, which the MPPDB simulator uses to reschedule query-completion
-events when the concurrency level on an instance changes.
+Events carry a fire time, a callback, a label and an optional payload; the
+queue stamps each with an insertion-order sequence number, so ties break
+FIFO and the simulation is deterministic.  :class:`EventQueue` is a thin
+heap wrapper that supports lazy cancellation, which the MPPDB simulator
+uses to reschedule query-completion events when the concurrency level on
+an instance changes.
+
+The heap holds ``(time, sequence, handle)`` tuples: sequences are unique,
+so tuple comparison settles every ordering on the two numbers, in C, and
+never reaches the handle.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
@@ -22,7 +27,7 @@ __all__ = ["Event", "ScheduledEvent", "EventQueue"]
 EventCallback = Callable[[float], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """An immutable description of something to happen at a point in time."""
 
@@ -32,18 +37,23 @@ class Event:
     payload: Any = None
 
 
-@dataclass(order=True)
 class ScheduledEvent:
-    """A queue entry: an :class:`Event` plus ordering and cancellation state."""
+    """A handle on a queued :class:`Event`, for :meth:`EventQueue.cancel`.
 
-    time: float
-    sequence: int
-    event: Event = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    A handle is live until its event fires or is cancelled; cancelling a
+    dead handle is a no-op.  Handles are not orderable: the queue orders
+    ``(time, sequence)``.
+    """
 
-    def cancel(self) -> None:
-        """Mark the entry dead; it will be skipped when popped."""
-        self.cancelled = True
+    __slots__ = ("event", "live")
+
+    def __init__(self, event: Event) -> None:
+        self.event = event
+        self.live = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "" if self.live else ", dead"
+        return f"ScheduledEvent(time={self.event.time}, label={self.event.label!r}{state})"
 
 
 class EventQueue:
@@ -55,7 +65,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -69,15 +79,15 @@ class EventQueue:
         """Schedule ``event`` and return a handle usable for cancellation."""
         if event.time < 0:
             raise SimulationError(f"cannot schedule an event at negative time {event.time!r}")
-        entry = ScheduledEvent(time=event.time, sequence=next(self._counter), event=event)
-        heapq.heappush(self._heap, entry)
+        entry = ScheduledEvent(event)
+        heapq.heappush(self._heap, (event.time, next(self._counter), entry))
         self._live += 1
         return entry
 
     def cancel(self, entry: ScheduledEvent) -> None:
-        """Cancel a previously pushed entry (idempotent)."""
-        if not entry.cancelled:
-            entry.cancel()
+        """Cancel a pushed entry; a no-op once it has fired or been cancelled."""
+        if entry.live:
+            entry.live = False
             self._live -= 1
 
     def peek_time(self) -> Optional[float]:
@@ -85,22 +95,26 @@ class EventQueue:
         self._discard_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop(self) -> Event:
         """Remove and return the next live event."""
         self._discard_cancelled()
         if not self._heap:
             raise SimulationError("pop() from an empty event queue")
-        entry = heapq.heappop(self._heap)
+        entry = heapq.heappop(self._heap)[2]
+        entry.live = False
         self._live -= 1
         return entry.event
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event; their handles go dead."""
+        for _, _, entry in self._heap:
+            entry.live = False
         self._heap.clear()
         self._live = 0
 
     def _discard_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and not heap[0][2].live:
+            heapq.heappop(heap)

@@ -4,12 +4,18 @@
 it holds concurrency levels and RT-TTP curves, where *time-weighted*
 aggregates (fraction of time above a threshold, time-average) are the
 meaningful statistics.
+
+Those aggregates read prefix integrals kept per threshold: the integral
+over ``[start, end)`` is ``A(end) - A(start)``, two bisects, whatever the
+window's length.  An RT-TTP check every monitor tick therefore costs
+O(log n) instead of a walk over the window's change points.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable
+import math
+from typing import Iterable, Optional
 
 from ..errors import SimulationError
 
@@ -22,15 +28,22 @@ class StepSeries:
     def __init__(self, initial: float = 0.0, start_time: float = 0.0) -> None:
         self._times: list[float] = [float(start_time)]
         self._values: list[float] = [float(initial)]
+        # Integrand key -> its integral from the first change to each change
+        # point; key ``None`` integrates the value itself, a float ``c``
+        # the indicator ``value > c``.  Extended lazily on read.
+        self._prefix: dict[Optional[float], list[float]] = {}
 
     def set(self, time: float, value: float) -> None:
-        """Change the signal value at ``time`` (non-decreasing times)."""
+        """Change the signal value at ``time`` (non-decreasing, finite times)."""
+        if not math.isfinite(time):
+            raise SimulationError(f"change time must be finite, got {time!r}")
         if time < self._times[-1]:
             raise SimulationError(
                 f"changes must be time-ordered: {time!r} < last {self._times[-1]!r}"
             )
         if time == self._times[-1]:
-            # Same-instant update overrides the previous change.
+            # Same-instant update overrides the previous change.  Prefix
+            # entries only read values before the last change point.
             self._values[-1] = float(value)
             return
         self._times.append(float(time))
@@ -57,12 +70,16 @@ class StepSeries:
 
     def time_weighted_mean(self, start: float, end: float) -> float:
         """Time-average of the signal over ``[start, end)``."""
-        return self._integrate(start, end, lambda v: v) / self._length(start, end)
+        length = self._length(start, end)
+        return (self._integral(None, end) - self._integral(None, start)) / length
 
     def fraction_time_above(self, threshold: float, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` the signal spends strictly above ``threshold``."""
-        above = self._integrate(start, end, lambda v: 1.0 if v > threshold else 0.0)
-        return above / self._length(start, end)
+        if math.isnan(threshold):
+            # NaN never equals itself, so it would add a prefix per call.
+            raise SimulationError("threshold must not be NaN")
+        length = self._length(start, end)
+        return (self._integral(threshold, end) - self._integral(threshold, start)) / length
 
     def fraction_time_at_most(self, threshold: float, start: float, end: float) -> float:
         """Fraction of ``[start, end)`` with the signal ``<= threshold``.
@@ -86,23 +103,29 @@ class StepSeries:
             raise SimulationError(f"empty window [{start!r}, {end!r})")
         return end - start
 
-    def _integrate(self, start: float, end: float, f: Callable[[float], float]) -> float:
-        if end <= start:
-            raise SimulationError(f"empty window [{start!r}, {end!r})")
-        total = 0.0
+    def _integral(self, key: Optional[float], t: float) -> float:
+        """Integral of the ``key`` integrand from the first change point to ``t``.
+
+        Before the first change point the initial value extends backwards,
+        so ``t`` earlier than the series start gives a negative integral.
+        """
         times = self._times
         values = self._values
-        idx = max(bisect.bisect_right(times, start) - 1, 0)
-        t = start
-        while t < end:
-            seg_end = times[idx + 1] if idx + 1 < len(times) else end
-            seg_end = min(seg_end, end)
-            if seg_end > t:
-                total += f(values[idx]) * (seg_end - t)
-            t = seg_end
-            idx += 1
-            if idx >= len(times):
-                break
-        if t < end:
-            total += f(values[-1]) * (end - t)
-        return total
+        prefix = self._prefix.get(key)
+        if prefix is None:
+            prefix = self._prefix[key] = [0.0]
+        total = prefix[-1]
+        for i in range(len(prefix), len(times)):
+            value = values[i - 1]
+            if key is None:
+                total += value * (times[i] - times[i - 1])
+            elif value > key:
+                total += times[i] - times[i - 1]
+            prefix.append(total)
+        idx = max(bisect.bisect_right(times, t) - 1, 0)
+        value = values[idx]
+        if key is None:
+            return prefix[idx] + value * (t - times[idx])
+        if value > key:
+            return prefix[idx] + (t - times[idx])
+        return prefix[idx]

@@ -13,6 +13,7 @@ activity — so this is the exact interface the system exercises.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..errors import WorkloadError
@@ -63,16 +64,26 @@ class QueryTemplate:
         return isinstance(self.curve, LinearScaleOut)
 
 
-def template_by_name(name: str) -> QueryTemplate:
-    """Resolve a template by its full name, e.g. ``"tpch.q19"``.
-
-    Used by the runtime replay to recover a logged query's cost model.
-    """
+@functools.cache
+def _templates_by_name() -> dict[str, QueryTemplate]:
+    # Imported here: both registries import this module.
     from .tpcds import TPCDS_TEMPLATES
     from .tpch import TPCH_TEMPLATES
 
+    by_name: dict[str, QueryTemplate] = {}
     for registry in (TPCH_TEMPLATES, TPCDS_TEMPLATES):
         for template in registry.values():
-            if template.name == name:
-                return template
-    raise WorkloadError(f"unknown query template {name!r}")
+            by_name.setdefault(template.name, template)
+    return by_name
+
+
+def template_by_name(name: str) -> QueryTemplate:
+    """Resolve a template by its full name, e.g. ``"tpch.q19"``.
+
+    Used by the runtime replay to recover a logged query's cost model, once
+    per query, so it is a dict lookup.
+    """
+    template = _templates_by_name().get(name)
+    if template is None:
+        raise WorkloadError(f"unknown query template {name!r}")
+    return template

@@ -171,6 +171,9 @@ def run_user_session(
                 user.on_query_done(execution)
                 return
 
+    completed: list[QueryExecution] = []
+    # Registered first: each completion is recorded before its user reacts.
+    engine.on_complete(completed.append)
     engine.on_complete(_dispatch)
     for user in users:
         user.start()
@@ -180,4 +183,4 @@ def run_user_session(
     for user in users:
         for query_id, (template_name, batch_id) in user.submitted.items():
             attribution[query_id] = (user.user_id, template_name, batch_id)
-    return engine.completed, attribution
+    return completed, attribution

@@ -121,10 +121,11 @@ class TestEngineState:
 
     def test_completed_in_completion_order(self, engine):
         sim, eng = engine
+        completed = []
+        eng.on_complete(completed.append)
         eng.submit(tenant_id=1, work_s=30.0)
         eng.submit(tenant_id=2, work_s=10.0)
         sim.run()
-        completed = eng.completed
         assert [q.tenant_id for q in completed] == [2, 1]
 
     def test_on_complete_callback(self, engine):

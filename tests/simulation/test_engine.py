@@ -6,6 +6,8 @@ from repro.errors import SimulationError
 from repro.simulation.clock import Clock
 from repro.simulation.engine import Simulator
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
 
 class TestClock:
     def test_starts_at_zero(self):
@@ -29,6 +31,36 @@ class TestClock:
     def test_negative_start_rejected(self):
         with pytest.raises(SimulationError):
             Clock(-1.0)
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_non_finite_advance_rejected(self, t):
+        clock = Clock(1.0)
+        with pytest.raises(SimulationError, match="finite"):
+            clock.advance_to(t)
+        assert clock.now == 1.0
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_non_finite_start_rejected(self, t):
+        with pytest.raises(SimulationError, match="finite"):
+            Clock(t)
+
+
+class TestNonFiniteSchedule:
+    """A NaN event would fire first and set the clock to NaN; inf never fires."""
+
+    @pytest.mark.parametrize("t", NON_FINITE)
+    def test_schedule_rejects(self, t):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule(t, lambda _t: None)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("delay", NON_FINITE)
+    def test_schedule_after_rejects(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="finite"):
+            sim.schedule_after(delay, lambda _t: None)
+        assert sim.pending == 0
 
 
 class TestSimulator:

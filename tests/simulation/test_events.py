@@ -54,6 +54,31 @@ class TestEventQueue:
         queue.cancel(entry)
         assert len(queue) == 0
 
+    def test_cancel_after_pop_is_a_no_op(self):
+        queue = EventQueue()
+        fired = queue.push(Event(time=1.0, callback=_noop))
+        queue.push(Event(time=2.0, callback=_noop))
+        queue.pop()
+        queue.cancel(fired)
+        assert len(queue) == 1
+        assert queue.peek_time() == 2.0
+
+    def test_cancel_after_clear_is_a_no_op(self):
+        queue = EventQueue()
+        dropped = queue.push(Event(time=1.0, callback=_noop))
+        queue.clear()
+        queue.cancel(dropped)
+        assert len(queue) == 0
+        queue.push(Event(time=2.0, callback=_noop))
+        assert len(queue) == 1
+
+    def test_handles_are_not_orderable(self):
+        queue = EventQueue()
+        a = queue.push(Event(time=1.0, callback=_noop))
+        b = queue.push(Event(time=2.0, callback=_noop))
+        with pytest.raises(TypeError):
+            sorted([b, a])
+
     def test_clear(self):
         queue = EventQueue()
         queue.push(Event(time=1.0, callback=_noop))

@@ -97,6 +97,20 @@ class TestStepSeries:
             with pytest.raises(SimulationError):
                 call()
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_change_time_rejected(self, t):
+        series = StepSeries(0.0)
+        series.set(5.0, 2.0)
+        with pytest.raises(SimulationError, match="finite"):
+            series.set(t, 1.0)
+        assert list(series.changes()) == [(0.0, 0.0), (5.0, 2.0)]
+
+    def test_nan_threshold_rejected(self):
+        series = StepSeries(0.0)
+        series.set(5.0, 2.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            series.fraction_time_at_most(float("nan"), 0.0, 10.0)
+
     def test_window_beyond_last_change_uses_final_value(self):
         series = StepSeries(0.0)
         series.set(10.0, 2.0)
