@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from ..config import EvaluationConfig, LogGenerationConfig
@@ -22,6 +23,7 @@ from ..errors import ReproError
 from ..packing.ffd import ffd_grouping
 from ..packing.livbp import LIVBPwFCProblem
 from ..packing.two_step import two_step_grouping
+from ..parallel import ordered_map
 from ..workload.activity import ActivityMatrix, active_tenant_ratio
 from ..workload.composer import ComposedWorkload, MultiTenantLogComposer
 from ..workload.generator import SessionLibrary, SessionLogGenerator
@@ -186,10 +188,9 @@ def run_grouping_experiment(
     """Solve one instance with both heuristics and collect the panels.
 
     Solver timings are measured here with :func:`time.perf_counter` —
-    i.e. *inside* the shard when the experiment runs under the parallel
-    fabric — so aggregated solver time is the cost of the solve itself,
-    not the wall time of a worker pool (which would fold queueing and
-    scheduling noise into the §7.3 execution-time panels).
+    i.e. *inside* the worker when a sweep runs on a process pool — so the
+    §7.3 execution-time panels are the cost of the solve itself, free of
+    pool start-up and scheduling noise.
     """
     matrix = ActivityMatrix.from_workload(workload, epoch_size)
     problem = LIVBPwFCProblem.from_activity_matrix(matrix, replication_factor, sla_percent)
@@ -222,6 +223,33 @@ SWEEP_PARAMETERS = frozenset(
 __all__.append("SWEEP_PARAMETERS")
 
 
+def _sweep_point(
+    parameter: str,
+    value: object,
+    scale: BenchScale,
+    workload_factory: Optional[Callable[[EvaluationConfig], ComposedWorkload]] = None,
+) -> GroupingRow:
+    """One sweep point: build the workload with ``parameter = value``, solve it.
+
+    A pure function of its arguments (the workload comes from the
+    process-local cache or is generated from the config's seed), so it
+    yields the same row in this process or in a spawned worker.
+    """
+    config = scale.config(**{parameter: value})
+    if workload_factory is not None:
+        workload = workload_factory(config)
+    else:
+        workload = build_workload(config, scale.sessions_per_size)
+    return run_grouping_experiment(
+        workload,
+        epoch_size=config.epoch_size_s,
+        replication_factor=config.replication_factor,
+        sla_percent=config.sla_percent,
+        parameter=parameter,
+        value=value,
+    )
+
+
 def sweep_parameter(
     parameter: str,
     values: Sequence[object],
@@ -235,43 +263,22 @@ def sweep_parameter(
     ``"theta"``, ``"replication_factor"``, ``"sla_percent"``; every other
     parameter stays at the scale's default.
 
-    With ``workers > 0`` the sweep points — which are embarrassingly
-    parallel — run as shards on the :mod:`repro.parallel` fabric, one
-    process pool of that size; the rows come back in value order with
-    identical deterministic fields (:meth:`GroupingRow.identity`) to the
-    serial path.  ``workload_factory`` is a serial-only hook (an arbitrary
+    With ``workers > 0`` the sweep points run on a process pool of up to
+    that size (:func:`repro.parallel.ordered_map`); the rows come back in
+    value order with the same deterministic fields
+    (:meth:`GroupingRow.identity`) as the serial path.  ``workers < 0``
+    raises :class:`~repro.errors.ParallelError` before any workload is
+    built.  ``workload_factory`` is a serial-only hook (an arbitrary
     closure cannot be shipped to a spawned worker).
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ReproError(
             f"unknown sweep parameter {parameter!r}; options: {sorted(SWEEP_PARAMETERS)}"
         )
-    if workers:
-        if workload_factory is not None:
-            raise ReproError(
-                "workload_factory is serial-only; a parallel sweep builds each "
-                "shard's workload from its config inside the worker"
-            )
-        from ..parallel.runner import ProcessPoolRunner
-        from ..parallel.tasks import run_sweep
-
-        merged = run_sweep(parameter, values, scale, ProcessPoolRunner(max_workers=workers))
-        return list(merged.values)
-    rows: list[GroupingRow] = []
-    for value in values:
-        config = scale.config(**{parameter: value})
-        if workload_factory is not None:
-            workload = workload_factory(config)
-        else:
-            workload = build_workload(config, scale.sessions_per_size)
-        rows.append(
-            run_grouping_experiment(
-                workload,
-                epoch_size=config.epoch_size_s,
-                replication_factor=config.replication_factor,
-                sla_percent=config.sla_percent,
-                parameter=parameter,
-                value=value,
-            )
+    if workers > 0 and workload_factory is not None:
+        raise ReproError(
+            "workload_factory is serial-only; a parallel sweep builds each "
+            "point's workload from its config inside the worker"
         )
-    return rows
+    point = partial(_sweep_point, parameter, scale=scale, workload_factory=workload_factory)
+    return ordered_map(point, values, workers)

@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="parallel fabric worker count (0 = in-process serial)",
+        help="worker processes for the sweep points (0 = in-process serial)",
     )
 
     sub.add_parser("loadtimes", help="print the Table 5.1 load-time model")

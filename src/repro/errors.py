@@ -29,7 +29,6 @@ __all__ = [
     "RetriesExhaustedError",
     "FailoverDeadlineError",
     "ParallelError",
-    "ShardFailedError",
     "LintError",
     "ObservabilityError",
 ]
@@ -119,21 +118,7 @@ class FailoverDeadlineError(FaultError):
 
 
 class ParallelError(ReproError):
-    """The :mod:`repro.parallel` execution fabric was misused or failed."""
-
-
-class ShardFailedError(ParallelError):
-    """A shard exhausted its retry budget (crash, timeout, or task error).
-
-    Carries the :class:`~repro.parallel.shards.ShardSpec` that failed as
-    ``spec`` (self-describing, so the caller can replay exactly the work
-    that failed) and the number of attempts made as ``attempts``.
-    """
-
-    def __init__(self, message: str, spec: object = None, attempts: int = 0) -> None:
-        super().__init__(message)
-        self.spec = spec
-        self.attempts = attempts
+    """:func:`repro.parallel.ordered_map` was misused or its workers crashed twice."""
 
 
 class LintError(ReproError):

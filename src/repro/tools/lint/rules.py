@@ -366,21 +366,19 @@ class EnumValueComparisonRule(Rule):
 
 @register
 class ParallelImportRule(Rule):
-    """THR009 — process pools live only behind the ``repro.parallel`` fabric.
+    """THR009 — process pools live only in ``repro.parallel``.
 
     A raw ``multiprocessing`` / ``concurrent.futures`` pool elsewhere in
-    the library bypasses everything the fabric guarantees: per-shard seed
-    derivation (bit-identical results at any worker count), spawn-safe
-    task references, typed :class:`~repro.errors.ShardFailedError` with
-    retry, and ordered merging of per-shard observability output.  Code
-    that needs cores submits :class:`~repro.parallel.ShardSpec` work to a
-    :class:`~repro.parallel.ProcessPoolRunner` instead.
+    the library bypasses the one map everything fans out through,
+    :func:`repro.parallel.ordered_map`: spawn-started workers, results in
+    input order, task errors that keep their type and a single rerun on a
+    worker crash.  Code that needs cores calls ``ordered_map`` instead.
     """
 
     code = "THR009"
     summary = (
         "no direct multiprocessing/concurrent.futures imports outside "
-        "repro.parallel; submit shards to the execution fabric"
+        "repro.parallel; map work with repro.parallel.ordered_map"
     )
 
     _FORBIDDEN_ROOTS = frozenset({"multiprocessing", "concurrent"})
@@ -400,8 +398,7 @@ class ParallelImportRule(Rule):
                         ctx,
                         node,
                         f"direct import of `{module}`; process-level parallelism "
-                        "goes through repro.parallel (ShardPlanner + "
-                        "ProcessPoolRunner) so results stay deterministic and "
-                        "failures stay typed",
+                        "goes through repro.parallel.ordered_map so results "
+                        "stay in input order and failures stay typed",
                     )
                     break

@@ -11,6 +11,7 @@ intervals derived from it; busy intervals are what the epoch discretization
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -31,10 +32,13 @@ class QueryRecord:
     batch_id: int = -1
 
     def __post_init__(self) -> None:
-        if self.submit_time_s < 0:
-            raise WorkloadError(f"submit time must be non-negative, got {self.submit_time_s!r}")
-        if self.latency_s < 0:
-            raise WorkloadError(f"latency must be non-negative, got {self.latency_s!r}")
+        # The chained comparison is False for NaN as well as for ±inf and < 0.
+        if not 0.0 <= self.submit_time_s < math.inf:
+            raise WorkloadError(
+                f"submit time must be finite and non-negative, got {self.submit_time_s!r}"
+            )
+        if not 0.0 <= self.latency_s < math.inf:
+            raise WorkloadError(f"latency must be finite and non-negative, got {self.latency_s!r}")
 
     @property
     def finish_time_s(self) -> float:

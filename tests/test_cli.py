@@ -128,3 +128,7 @@ class TestCommands:
     def test_repro_error_exits_2(self, capsys, parameter, value):
         assert main(["sweep", parameter, value, *self._FAST]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_negative_workers_exits_2(self, capsys):
+        assert main(["sweep", "epoch_size_s", "60", "--workers", "-1", *self._FAST]) == 2
+        assert "error: workers must be >= 0" in capsys.readouterr().err

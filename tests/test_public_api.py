@@ -10,7 +10,9 @@ import pytest
 
 import repro
 
-_PACKAGES = ["repro"] + sorted(
+#: Every layer: the root package, its sub-packages, and ``repro.parallel``,
+#: the one layer that is a single module.
+_PACKAGES = ["repro", "repro.parallel"] + sorted(
     info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
 )
 

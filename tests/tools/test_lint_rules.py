@@ -534,7 +534,7 @@ class TestTHR009ParallelImport:
     def test_quiet_inside_repro_parallel(self, tmp_path):
         good = _lint_snippet(
             tmp_path,
-            "src/repro/parallel/runner.py",
+            "src/repro/parallel.py",
             """
             import concurrent.futures
             import multiprocessing
@@ -548,10 +548,10 @@ class TestTHR009ParallelImport:
             tmp_path,
             "src/repro/analysis/good_pool.py",
             """
-            from repro.parallel import ProcessPoolRunner
+            from repro.parallel import ordered_map
 
-            def fan_out(n: int) -> ProcessPoolRunner:
-                return ProcessPoolRunner(max_workers=n)
+            def fan_out(n: int) -> list[int]:
+                return ordered_map(abs, [-1, -2], n)
             """,
             select="THR009",
         )

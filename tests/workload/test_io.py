@@ -78,6 +78,15 @@ class TestTenantLogRoundtrip:
         with pytest.raises(WorkloadError):
             read_tenant_log(path)
 
+    def test_nan_submit_time_rejected(self, tmp_path):
+        path = write_tenant_log(_log(1), tmp_path / "t.jsonl")
+        header, line = path.read_text().splitlines()
+        record = json.loads(line)
+        record["t"] = "nan"
+        path.write_text(f"{header}\n{json.dumps(record)}\n")
+        with pytest.raises(WorkloadError, match="finite and non-negative"):
+            read_tenant_log(path)
+
     def test_record_count_checked(self, tmp_path):
         path = write_tenant_log(_log(3), tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()

@@ -29,6 +29,13 @@ class TestQueryRecord:
         with pytest.raises(WorkloadError):
             QueryRecord(submit_time_s=1.0, latency_s=-1.0, template="x")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["submit_time_s", "latency_s"])
+    def test_non_finite_times_rejected(self, field, bad):
+        times = {"submit_time_s": 1.0, "latency_s": 1.0, field: bad}
+        with pytest.raises(WorkloadError, match="finite and non-negative"):
+            QueryRecord(template="tpch.q1", **times)
+
 
 class TestMergeIntervals:
     def test_disjoint_kept(self):
